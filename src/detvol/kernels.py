@@ -1,35 +1,18 @@
-"""Integer determinant kernels.
+"""Integer determinant kernel.
 
-The hot kernel of the whole package is the determinant of a Laplacian minor
-(fraction-free Bareiss elimination, which keeps every intermediate value an
-integer).  Two implementations are provided:
-
-* ``bareiss_det_python`` -- arbitrary-precision, pure Python; always correct.
-* ``detvol._detkernel.bareiss_det_i64`` -- compiled (Cython) int64 fast path,
-  built optionally at install time.
-
-``bareiss_det`` picks the compiled kernel when it was built and silently
-falls back to the pure version whenever an intermediate value would not fit
-in 64 bits, so results are always exact.  Set the environment variable
-``DETVOL_PURE=1`` to skip the compiled kernel entirely.
+The hot kernel of the whole package is the determinant of a Laplacian minor,
+computed by fraction-free Bareiss elimination: every intermediate value stays
+an integer and Python integers have arbitrary precision, so the result is
+always exact.
 """
 
 from __future__ import annotations
 
-import os
-
-try:
-    from . import _detkernel
-
-    HAVE_COMPILED = True
-except ImportError:  # extension not built
-    _detkernel = None
-    HAVE_COMPILED = False
-
-_FORCE_PURE = os.environ.get("DETVOL_PURE", "") not in ("", "0")
+# There is no compiled kernel; the flag stays for code that reports it.
+HAVE_COMPILED = False
 
 
-def bareiss_det_python(rows: list[list[int]]) -> int:
+def bareiss_det(rows: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix, arbitrary precision."""
     n = len(rows)
     if n == 0:
@@ -59,13 +42,3 @@ def bareiss_det_python(rows: list[list[int]]) -> int:
             mi[k] = 0
         prev = piv
     return sign * m[n - 1][n - 1]
-
-
-def bareiss_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant; compiled fast path with pure fallback."""
-    if HAVE_COMPILED and not _FORCE_PURE:
-        try:
-            return _detkernel.bareiss_det_i64(rows)
-        except OverflowError:
-            pass
-    return bareiss_det_python(rows)

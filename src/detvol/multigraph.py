@@ -46,34 +46,9 @@ class Multigraph:
             and sorted(map(sorted, self.edges)) == sorted(map(sorted, other.edges))
         )
 
-    def copy(self) -> "Multigraph":
-        return Multigraph(self.vertex_count, self.edges)
-
     def degree(self, v: int) -> int:
         """Degree with loops counted twice."""
         return sum((u == v) + (w == v) for (u, w) in self.edges)
-
-    def is_connected(self) -> bool:
-        n = self.vertex_count
-        if n == 1:
-            return True
-        adj = [[] for _ in range(n)]
-        for (u, v) in self.edges:
-            if u != v:
-                adj[u].append(v)
-                adj[v].append(u)
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    count += 1
-                    stack.append(y)
-        return count == n
 
 
 def laplacian(g: Multigraph) -> list[list[int]]:
@@ -185,7 +160,7 @@ def spanning_tree_count_deletion_contraction(g: Multigraph) -> int:
             return 0
         if n == 1:
             return 1
-        # contract pendant vertices (forced edges) cheaply
+        # an isolated vertex leaves the graph disconnected: no spanning trees
         deg = [0] * n
         for (u, v) in edges:
             deg[u] += 1

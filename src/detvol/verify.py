@@ -42,8 +42,6 @@ from .multigraph import spanning_tree_count
 
 DEFAULT_ORACLE_CAP = 40
 
-BOUND_NAMES = ("adams_exact", "adams_log", "lackenby", "montesinos", "family_specific")
-
 
 @dataclass
 class BoundReport:
@@ -241,28 +239,6 @@ def pretzel_detected_twists(arrangement: tuple[int, ...]) -> int:
     return n - merges
 
 
-def _pretzel_arrangement_holds(
-    arrangement: tuple[int, ...], rule: str = "montesinos"
-) -> tuple[bool, float]:
-    """(holds, margin) for one cyclic arrangement, using closed-form faces."""
-    d = fam.pretzel_det(arrangement)
-    two_pi_log_det = TWO_PI * math.log(d)
-    t = pretzel_detected_twists(arrangement)
-    c = sum(arrangement)
-    if c >= t and stoimenow_certificate(t, c, rule):
-        return True, two_pi_log_det - _rule_bound(t, rule)
-    faces = pretzel_face_vector(arrangement)
-    r, s = faces.two_largest()
-    best = min(
-        adams_bound_exact(faces, r, s).value,
-        adams_bound_log(faces, r, s).value,
-        lackenby_bound(t).value,
-        montesinos_bound(t).value,
-    )
-    margin = two_pi_log_det - best
-    return margin > 0.0, margin
-
-
 def _unique_necklaces(sorted_tuple: tuple[int, ...]):
     """Distinct cyclic arrangements of a multiset, up to rotation and reflection."""
     n = len(sorted_tuple)
@@ -371,9 +347,10 @@ def enumerate_pretzels(
                 if c >= t_det and stoimenow_certificate(t_det, c, rule):
                     report.certified_stoimenow += 1
                     continue
-                ok, margin = _pretzel_arrangement_holds(arr, rule)
+                bounds = _bounds_for(Pretzel(arr), pretzel_face_vector(arr), t_det)
+                margin = TWO_PI * math.log(fam.pretzel_det(arr)) - min(v for _, v in bounds)
                 report.checked += 1
-                if not ok:
+                if not margin > 0.0:
                     report.violations.append((arr, margin))
 
         def rec(prefix: list[int], min_val: int) -> None:
