@@ -407,6 +407,13 @@ def parse_pd_json(text: str) -> PDCode:
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("PD JSON must be an array of 4-tuples")
+    for t in data:
+        if not (
+            isinstance(t, list)
+            and len(t) == 4
+            and all(type(a) is int for a in t)  # bool and float rejected
+        ):
+            raise ValueError(f"PD crossing must be an array of 4 integers: {t!r}")
     return PDCode([tuple(t) for t in data])
 
 

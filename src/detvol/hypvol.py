@@ -5,8 +5,10 @@ to a few ulps, well inside the advertised 1e-12 absolute error:
 
 * ``lobachevsky`` reduces its argument to [-pi/2, pi/2] (the function is odd
   and pi-periodic), splits off the logarithmic endpoint singularity in closed
-  form, and integrates the remaining analytic piece with fixed Gauss-Legendre
-  quadrature.
+  form, and integrates the remaining analytic piece with a 16-node
+  Gauss-Legendre rule.  That piece, log(sin t / t), is analytic except at
+  t = +-pi, so on [0, pi/2] the rule's error falls like 5.8^(-2n): about
+  1e-24 at n = 16, below the rounding of the sum.
 * ``bipyramid_volume(n)`` is the volume of the regular ideal n-bipyramid
   (n = 4 gives the regular ideal octahedron).
 * The upper bounds for alternating links: the bipyramid face-sum bound and
@@ -21,14 +23,27 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
-# Gauss-Legendre rule on [0, 1]; 64 analytic-integrand nodes give ~1e-16.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
-_GL_X = (_GL_X + 1.0) / 2.0
-_GL_W = _GL_W / 2.0
+
+def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of the n-point Gauss-Legendre rule on [0, 1]."""
+    rule = []
+    for i in range(1, n + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))  # i-th root of P_n, roughly
+        for _ in range(10):  # Newton on P_n, quadratic from this start
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (p0 - x * p1) / (1.0 - x * x)  # P_n'(x)
+            x -= p1 / dp
+        rule.append(((1.0 - x) / 2.0, 1.0 / ((1.0 - x * x) * dp * dp)))
+    return tuple(rule)
+
+
+# 16 nodes: the integrand's nearest singularity, t = pi, puts the error on
+# [0, pi/2] at 5.8^-32 ~ 1e-24 (see the module docstring).
+_GL = _gauss_legendre(16)
 
 
 @dataclass(frozen=True)
@@ -64,9 +79,15 @@ def _lob_core(x: float) -> float:
     # x in [0, pi/2]:  L(x) = x*(1 - log(2x)) - int_0^x log(sin t / t) dt
     if x <= 0.0:
         return 0.0
-    t = x * _GL_X
-    smooth = float(np.dot(_GL_W, np.log(np.sin(t) / t))) * x
-    return x * (1.0 - math.log(2.0 * x)) - smooth
+    if x < 1e-8:
+        # the integral is -x^3/18 + O(x^5), under one ulp of the first term;
+        # dropping it also keeps x*u from underflowing to 0 in the loop below
+        return x * (1.0 - math.log(2.0 * x))
+    smooth = 0.0
+    for u, w in _GL:
+        t = x * u
+        smooth += w * math.log(math.sin(t) / t)
+    return x * (1.0 - math.log(2.0 * x)) - x * smooth
 
 
 def bipyramid_volume(n: int) -> Real:

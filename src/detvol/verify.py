@@ -26,10 +26,7 @@ from dataclasses import dataclass, field
 from . import families as fam
 from .families import FamilySpec, Pretzel, ThreeBraid, TwoBridge, Weaving4
 from .hypvol import (
-    GAMMA,
     TWO_PI,
-    V4,
-    V8,
     ZETA,
     XI,
     FaceVector,
@@ -37,6 +34,7 @@ from .hypvol import (
     adams_bound_log,
     lackenby_bound,
     montesinos_bound,
+    stoimenow_lower_bound,
 )
 from .multigraph import spanning_tree_count
 
@@ -161,9 +159,9 @@ def high_twist_threshold(t: int, rule: str = "general") -> ThresholdResult:
     if t < 1:
         raise ValueError("t must be >= 1")
     if rule == "general":
-        thr = t + XI.value ** (t - 1) - 2.0 * GAMMA.value ** (t - 1)
+        thr = t + XI.value ** (t - 1) - stoimenow_lower_bound(t).value
     elif rule == "montesinos":
-        thr = t + ZETA.value ** t - 2.0 * GAMMA.value ** (t - 1)
+        thr = t + ZETA.value ** t - stoimenow_lower_bound(t).value
     else:
         raise ValueError(f"unknown rule {rule!r}")
     return ThresholdResult(t=t, c_threshold=thr, rule=rule)
@@ -171,9 +169,9 @@ def high_twist_threshold(t: int, rule: str = "general") -> ThresholdResult:
 
 def _rule_bound(t: int, rule: str) -> float:
     if rule == "general":
-        return 10.0 * V4.value * (t - 1)
+        return lackenby_bound(t).value
     if rule == "montesinos":
-        return 2.0 * V8.value * t
+        return montesinos_bound(t).value
     raise ValueError(f"unknown rule {rule!r}")
 
 
@@ -188,7 +186,7 @@ def stoimenow_certificate(t: int, c: int, rule: str = "general") -> bool:
         raise ValueError("t must be >= 1")
     if c < t:
         raise ValueError("c must be >= t")
-    det_floor = 2.0 * GAMMA.value ** (t - 1) + c - t
+    det_floor = stoimenow_lower_bound(t).value + c - t
     return _rule_bound(t, rule) < TWO_PI * math.log(det_floor)
 
 
@@ -383,19 +381,17 @@ def enumerate_pretzels(
 
 def _compositions_upto(total_max: int):
     """All nonempty tuples of positive ints with sum <= total_max, lexicographic."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(budget: int, cur: list[int]):
+    stack: list[tuple[tuple[int, ...], int]] = [((), total_max)]
+    while stack:  # preorder, children in increasing order: lexicographic
+        cur, budget = stack.pop()
         if cur:
-            out.append(tuple(cur))
-        for x in range(1, budget + 1):
-            cur.append(x)
-            rec(budget - x, cur)
-            cur.pop()
+            yield cur
+        stack.extend((cur + (x,), budget - x) for x in range(budget, 0, -1))
 
-    rec(total_max, [])
-    out.sort()
-    return out
+
+# R, B and P sweeps hold 2^sum_max - 1 compositions and ~1 KB per report,
+# so sum_max 20 is already about 1 GB of reports.
+MAX_COMPOSITION_SUM = 20
 
 
 def sweep_specs(family: str, sum_max: int) -> list[FamilySpec]:
@@ -405,9 +401,16 @@ def sweep_specs(family: str, sum_max: int) -> list[FamilySpec]:
     B: all pair sequences with crossing number <= sum_max.
     P: all twist tuples of length >= 3 with crossing number <= sum_max.
     W: all indices with crossing number 3n <= sum_max.
+
+    R, B and P take sum_max <= MAX_COMPOSITION_SUM; W is uncapped.
     """
     if sum_max < 1:
         raise ValueError("sum_max must be >= 1")
+    if family in ("R", "B", "P") and sum_max > MAX_COMPOSITION_SUM:
+        raise ValueError(
+            f"sum_max {sum_max} > {MAX_COMPOSITION_SUM} for family {family}: "
+            f"the sweep would hold about 2^{sum_max} specs"
+        )
     if family == "R":
         return [TwoBridge(a) for a in _compositions_upto(sum_max)]
     if family == "B":

@@ -82,6 +82,13 @@ class TestSweep:
         assert code == 0
         assert "W(2)" in out
 
+    def test_sum_max_too_large(self, capsys):
+        code, out, err = run(capsys, "sweep", "--family", "R", "--sum-max", "2000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestPd:
     def test_text_file(self, capsys, tmp_path):
@@ -104,9 +111,21 @@ class TestPd:
         code, _, err = run(capsys, "pd", "/nonexistent/nope.pd")
         assert code == 1
 
-    def test_malformed(self, capsys, tmp_path):
-        f = tmp_path / "bad.pd"
-        f.write_text("X 1 1 1 1\n")
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("bad.pd", "X 1 1 1 1\n"),
+            ("flat.json", "[1, 2]"),
+            ("null.json", "[[0, 1, 2, null]]"),
+            ("float.json", "[[0, 0, 1, 1.7]]"),
+            ("bool.json", "[[0, 0, 1, true]]"),
+            ("short.json", "[[0, 0, 1]]"),
+        ],
+        ids=["text", "flat", "null", "float", "bool", "short"],
+    )
+    def test_malformed(self, capsys, tmp_path, name, text):
+        f = tmp_path / name
+        f.write_text(text)
         code, _, err = run(capsys, "pd", str(f))
         assert code == 1
         assert "error" in err

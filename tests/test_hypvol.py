@@ -1,7 +1,10 @@
 """Lobachevsky function, bipyramid volumes, and the volume bounds."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
@@ -54,9 +57,15 @@ class TestLobachevsky:
 
     def test_against_clausen_oracle(self):
         rng = random.Random(12345)
-        for _ in range(200):
-            theta = rng.uniform(-10.0, 10.0)
-            assert abs(lobachevsky(theta).value - lob_oracle(theta)) < 1e-12
+        thetas = [rng.uniform(-10.0, 10.0) for _ in range(200)]
+        # where the quadrature is weakest: the end of the reduced range ...
+        for edge in (math.pi / 2, -math.pi / 2):
+            thetas += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 2 * edge)]
+        # ... and the arguments of the bipyramid volumes
+        for n in [*range(3, 65), 1000, 10000]:
+            thetas += [2 * math.pi / n, math.pi * (n - 2) / (2 * n)]
+        for theta in thetas:
+            assert abs(lobachevsky(theta).value - lob_oracle(theta)) < 1e-12, theta
 
     def test_against_quadrature_oracle(self):
         rng = random.Random(99)
@@ -72,6 +81,13 @@ class TestLobachevsky:
             assert abs(lobachevsky(theta + math.pi).value - v) < 1e-12
             assert abs(lobachevsky(-theta).value + v) < 1e-12
 
+    def test_tiny_arguments(self):
+        # theta*u would underflow to 0 in the quadrature; the integral is O(theta^3)
+        for theta in (5e-324, 1e-310):
+            v = lobachevsky(theta).value
+            assert math.isfinite(v)
+            assert abs(v - theta * (1 - math.log(2 * theta))) < 1e-12
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             lobachevsky(float("inf"))
@@ -80,6 +96,15 @@ class TestLobachevsky:
 
     def test_error_claim(self):
         assert lobachevsky(1.0).abs_err <= 1e-12
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, detvol; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # the same detvol
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestBipyramid:

@@ -173,6 +173,12 @@ class TestSweep:
         assert a == b
         assert len(a) == 2 ** 6 - 1
 
+    def test_composition_cap(self):
+        for family in ("R", "B", "P"):
+            with pytest.raises(ValueError):
+                sweep_specs(family, 21)
+        assert len(sweep_specs("W", 2000)) == 666
+
     def test_families(self):
         assert len(sweep_specs("W", 12)) == 4
         assert all(len(s.a) >= 3 for s in sweep_specs("P", 6))
