@@ -198,6 +198,10 @@ def cmd_pd(args, cfg: CliConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # determinants are printed as exact decimals, W(20000)'s has 11k digits;
+    # Python >= 3.11 refuses str() of ints over 4300 digits by default
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -3,17 +3,20 @@
 * ``TwoBridge(a1,...,an)`` -- 2-bridge (rational) link, one twist region per
   entry; determinant by the recurrence T(k+1) = a_{k+1} T(k) + T(k-1).
 * ``ThreeBraid(a1,b1,...,an,bn)`` -- alternating 3-braid closure; determinant
-  by the edge-contraction reduction to 2-bridge chains.
+  tr(prod [[1,a_i],[0,1]] [[1,0],[b_i,1]]) - 2, which the test suite checks
+  against the paper's edge-contraction reduction to 2-bridge chains.
 * ``Pretzel(a1,...,an)`` -- pretzel link; determinant is the elementary
   symmetric polynomial of degree n-1.
 * ``Weaving4(n)`` -- closure of the 4-strand word (s1 s3 s2^-1)^n; its
   checkerboard graph is the n-gonal bipyramid, whose spanning-tree count is
-  n*((2+sqrt3)^n + (2-sqrt3)^n - 2)/2, evaluated with an integer two-term
-  recurrence (never floating point).
+  n*((2+sqrt3)^n + (2-sqrt3)^n - 2)/2, evaluated exactly by Lucas-sequence
+  doubling (never floating point).
 
-All determinants are exact big integers.  ``to_diagram`` builds the standard
-diagram of each family and every closed form is cross-validated against
-matrix-tree counts on both checkerboard graphs in the test suite.
+All determinants are exact big integers.  ``face_vector`` and
+``detected_twist_count`` give the face sizes and the twist-region count of
+the standard diagram in closed form, so the volume bounds need no diagram.
+``to_diagram`` builds that diagram; it is the oracle that every closed form,
+determinant and face data alike, is checked against.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagram as dgm
-from .hypvol import TWO_PI, Real
+from .hypvol import TWO_PI, FaceVector, Real
 import math
 
 
@@ -132,42 +135,52 @@ def twobridge_vol_upper(a) -> Real:
 
 
 def threebraid_det(pairs) -> int:
-    """Determinant of the alternating 3-braid via the contraction reduction:
+    """Determinant of the alternating 3-braid as a 2x2 trace:
 
+    det B(a1,b1,...,an,bn) = tr(prod_i [[1,a_i],[0,1]] [[1,0],[b_i,1]]) - 2.
+
+    O(n) big-integer steps.  It agrees with the paper's contraction reduction
     det B(a1,b1,...,an,bn) = bn * det R(a1,b1,...,b_{n-1},an)
                              + det B(a1+an, b1,...,a_{n-1},b_{n-1}),
-    with det B(a,b) = a*b at the base.
+    det B(a,b) = a*b, which the test suite checks on every spec of sum <= 12.
     """
     pairs = [(int(x), int(y)) for (x, y) in pairs]
     if not pairs:
         raise ValueError("need at least one pair")
+    m00, m01, m10, m11 = 1, 0, 0, 1
     for (x, y) in pairs:
         if x < 1 or y < 1:
             raise ValueError("all twist counts must be >= 1")
-    total = 0
-    while len(pairs) > 1:
-        chain = []
-        for (ai, bi) in pairs[:-1]:
-            chain += [ai, bi]
-        chain.append(pairs[-1][0])
-        an, bn = pairs[-1]
-        total += bn * twobridge_det(chain)
-        pairs = [(pairs[0][0] + an, pairs[0][1])] + pairs[1:-1]
-    a1, b1 = pairs[0]
-    return total + a1 * b1
+        # M <- M [[1,x],[0,1]] [[1,0],[y,1]] = M [[1+xy, x],[y, 1]]
+        p, q = m00 * x + m01, m10 * x + m11
+        m00, m01, m10, m11 = m00 + p * y, p, m10 + q * y, q
+    return m00 + m11 - 2
+
+
+def _lucas_v(p: int, n: int) -> int:
+    """V_n of the Lucas sequence V_0=2, V_1=p, V_{k+1} = p V_k - V_{k-1}.
+
+    By doubling, V_2k = V_k^2 - 2 and V_2k+1 = V_k V_{k+1} - p (valid because
+    the sequence has Q = 1), so it takes O(log n) big-integer products.
+    """
+    v, w = 2, p  # (V_k, V_{k+1}), starting at k = 0
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            v, w = v * w - p, w * w - 2
+        else:
+            v, w = v * v - 2, v * w - p
+    return v
 
 
 def threebraid_allones_det(n: int) -> int:
-    """Closed form for B(1,1,...,1) with 2n ones, via u_{k+1} = 3u_k - u_{k-1}.
+    """Closed form for B(1,1,...,1) with 2n ones: u_n - 2 with
+    u_0=2, u_1=3, u_{k+1} = 3u_k - u_{k-1}.
 
     Equals ((3+sqrt5)/2)^n + ((3-sqrt5)/2)^n - 2, computed exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    u_prev, u = 2, 3
-    for _ in range(n - 1):
-        u_prev, u = u, 3 * u - u_prev
-    return u - 2
+    return _lucas_v(3, n) - 2
 
 
 def pretzel_det(a) -> int:
@@ -190,18 +203,16 @@ def weaving_det(n: int) -> int:
     """Spanning trees of the weaving checkerboard graph (n-gonal bipyramid).
 
     n*(G_n - 2)/2 where G_0=2, G_1=4, G_{k+1} = 4 G_k - G_{k-1}, so that
-    G_n = (2+sqrt3)^n + (2-sqrt3)^n.  Two other closed forms for this count
-    are in circulation and disagree with each other; both were checked
+    G_n = (2+sqrt3)^n + (2-sqrt3)^n, taken by Lucas doubling.  Two other
+    closed forms for this count are in circulation and disagree with each
+    other; both were checked
     against matrix-tree, deletion-contraction, and brute-force counts on the
     braid-built diagrams and both are wrong (see README), so this is the
     oracle-backed form.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g_prev, g = 2, 4
-    for _ in range(n - 1):
-        g_prev, g = g, 4 * g - g_prev
-    return n * (g - 2) // 2
+    return n * (_lucas_v(4, n) - 2) // 2
 
 
 def det(spec: FamilySpec) -> int:
@@ -249,6 +260,129 @@ def structural_twist_count(spec: FamilySpec) -> int:
     if isinstance(spec, Weaving4):
         return 3 * spec.n
     raise TypeError(f"not a family spec: {spec!r}")
+
+
+def _face_counts(sizes) -> FaceVector:
+    counts: dict[int, int] = {}
+    for size, mult in sizes:
+        counts[size] = counts.get(size, 0) + mult
+    return FaceVector(counts)
+
+
+def face_vector(spec: FamilySpec) -> FaceVector:
+    """Face sizes of ``to_diagram(spec)``, computed without building it.
+
+    Each face is counted by the columns of the template it lies in; the
+    derivations are in the comments.  The test suite compares every result
+    with the diagram's own face traversal.
+    """
+    if isinstance(spec, TwoBridge):
+        # Plat closure, bottom caps (1,2),(3,4): a_i is a block of crossings
+        # at s2 for odd i, at s1 for even i.  Column (2,3) is cut by the s2
+        # blocks and column (1,2) by the s1 blocks into bigons inside each
+        # block and a (2 + a_{i+1})-gon between blocks i and i+2.  Column
+        # (3,4) meets every s2 crossing, the outer face every s1 crossing.
+        a, n = spec.a, len(spec.a)
+        s1, s2 = sum(a[1::2]), sum(a[0::2])
+        sizes = [(2, sum(a) - n)] + [(2 + x, 1) for x in a[1:-1]]
+        if n == 1:  # column (1,2) meets the block; the outer face, 2 sides
+            sizes += [(a[0], 1), (s2, 1), (2, 1)]
+        elif n % 2:
+            # top caps (1,2),(3,4): column (2,3) opens into the outer face at
+            # both ends; column (1,2) ends in an (a_1 + 1)- and an (a_n + 1)-gon
+            # under the caps
+            sizes += [(a[0] + 1, 1), (a[-1] + 1, 1), (s2, 1), (s1 + 2, 1)]
+        else:
+            # top caps (2,3),(1,4): column (1,2) starts in an (a_1 + 1)-gon;
+            # column (2,3) opens into the outer face at the bottom and ends
+            # in an (a_n + 1)-gon under its cap; the tops of columns (1,2) and
+            # (3,4) join
+            sizes += [(a[0] + 1, 1), (a[-1] + 1, 1), (s2 + 1, 1), (s1 + 1, 1)]
+        return _face_counts(sizes)
+    if isinstance(spec, ThreeBraid):
+        # Closure of prod s1^a_i s2^b_i: column (1,2) has bigons inside the s1
+        # blocks and a (2 + b_i)-gon after block i, column (2,3) likewise;
+        # the inner face meets every s1 crossing, the outer every s2 crossing.
+        a, b = spec.flat[0::2], spec.flat[1::2]
+        sizes = [(2, sum(a) + sum(b) - 2 * len(a)), (sum(a), 1), (sum(b), 1)]
+        sizes += [(2 + x, 1) for x in a + b]
+        return _face_counts(sizes)
+    if isinstance(spec, Pretzel):
+        if len(spec.a) <= 2:  # a (2,k) torus diagram: k bigons, two k-gons
+            k = sum(spec.a)
+            return _face_counts([(2, k), (k, 2)])
+        return pretzel_face_vector(spec.a)
+    if isinstance(spec, Weaving4):
+        # columns (1,2) and (3,4) are triangles, (2,3) squares; the inner and
+        # outer faces meet the n s1 and the n s3 crossings
+        n = spec.n
+        return _face_counts([(3, 2 * n), (4, n), (n, 2)])
+    raise TypeError(f"not a family spec: {spec!r}")
+
+
+def detected_twist_count(spec: FamilySpec) -> int:
+    """Twist regions of ``to_diagram(spec)``, computed without building it.
+
+    The template's blocks are its regions, except that a bigon face outside
+    every block joins the blocks it touches; the faces are those listed in
+    ``face_vector``.
+    """
+    if isinstance(spec, TwoBridge):
+        a, n = spec.a, len(spec.a)
+        if n <= 2:
+            # R(a_1,a_2): the faces of sizes a_1 + 1 and a_2 + 1 touch both
+            # blocks, so either entry being 1 joins them
+            return 1 if n == 1 or 1 in a else 2
+        # the (a_1 + 1)-gon joins blocks 1, 2 when a_1 = 1, the (a_n + 1)-gon
+        # blocks n-1, n when a_n = 1; column (3,4) is a bigon only for
+        # R(1,x,1), whose blocks those two joins already connect
+        return n - (a[0] == 1) - (a[-1] == 1)
+    if isinstance(spec, ThreeBraid):
+        # the inner face is a bigon joining the two s1 blocks when
+        # a_1 = a_2 = 1 (n = 2), the outer face likewise for the b blocks
+        a, b = spec.flat[0::2], spec.flat[1::2]
+        return 2 * len(a) - (a == (1, 1)) - (b == (1, 1))
+    if isinstance(spec, Pretzel):
+        if len(spec.a) <= 2:  # every face between crossings is a bigon
+            return 1
+        return pretzel_detected_twists(spec.a)
+    if isinstance(spec, Weaving4):
+        # W(2) only: the inner and outer faces are bigons
+        return 4 if spec.n == 2 else 3 * spec.n
+    raise TypeError(f"not a family spec: {spec!r}")
+
+
+def pretzel_face_vector(arrangement: tuple[int, ...]) -> FaceVector:
+    """Faces of the standard pretzel diagram, computed without building it.
+
+    One face of size a_i + a_{i+1} between consecutive twist regions
+    (cyclically), one bigon per extra crossing inside a region, and the two
+    n-gon faces through the middle.  Validated against the diagram route in
+    the tests.
+    """
+    n = len(arrangement)
+    if n < 3:
+        raise ValueError("need at least 3 twist regions")
+    sizes = [(arrangement[i - 1] + x, 1) for i, x in enumerate(arrangement)]
+    return _face_counts(sizes + [(2, sum(arrangement) - n), (n, 2)])
+
+
+def pretzel_detected_twists(arrangement: tuple[int, ...]) -> int:
+    """Twist regions of the standard pretzel diagram.
+
+    Cyclically adjacent single-crossing regions share a bigon and merge.
+    """
+    n = len(arrangement)
+    if n < 3:
+        raise ValueError("need at least 3 twist regions")
+    if all(a == 1 for a in arrangement):
+        return 1
+    merges = sum(
+        1
+        for i in range(n)
+        if arrangement[i] == 1 and arrangement[(i + 1) % n] == 1
+    )
+    return n - merges
 
 
 def to_diagram(spec: FamilySpec) -> dgm.Diagram:

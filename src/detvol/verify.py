@@ -24,7 +24,15 @@ import time
 from dataclasses import dataclass, field
 
 from . import families as fam
-from .families import FamilySpec, Pretzel, ThreeBraid, TwoBridge, Weaving4
+from .families import (
+    FamilySpec,
+    Pretzel,
+    ThreeBraid,
+    TwoBridge,
+    Weaving4,
+    pretzel_detected_twists,
+    pretzel_face_vector,
+)
 from .hypvol import (
     TWO_PI,
     ZETA,
@@ -73,9 +81,12 @@ def _verdict(margin: float | None, nonhyp: bool) -> str:
 def check(spec: FamilySpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> BoundReport:
     """Full report for one family member.
 
-    The determinant comes from the family closed form and, when the crossing
-    number is at most ``oracle_cap``, is cross-checked against matrix-tree
-    counts on both checkerboard graphs of the constructed diagram.
+    The determinant, face sizes and twist count come from the family closed
+    forms, so a check costs O(len(spec)) big-integer steps and builds no
+    diagram.  When the crossing number is at most ``oracle_cap`` the diagram
+    is built as the oracle: the determinant is cross-checked against
+    matrix-tree counts on both checkerboard graphs, and the face sizes and
+    twist count against the diagram's own traversal.
     """
     d = fam.det(spec)
     c = fam.crossing_count(spec)
@@ -97,8 +108,10 @@ def check(spec: FamilySpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> BoundReport
             reason=reason,
         )
 
-    diag = fam.to_diagram(spec)
+    faces = fam.face_vector(spec)
+    t = fam.detected_twist_count(spec)
     if c <= oracle_cap:
+        diag = fam.to_diagram(spec)
         t_sh = spanning_tree_count(diag.shaded)
         t_wh = spanning_tree_count(diag.white)
         if not (t_sh == t_wh == d):
@@ -106,7 +119,12 @@ def check(spec: FamilySpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> BoundReport
                 f"determinant mismatch for {spec}: closed form {d}, "
                 f"matrix-tree {t_sh}/{t_wh}"
             )
-    bounds = _bounds_for(spec, diag.faces, diag.twist_count)
+        if diag.faces != faces or diag.twist_count != t:
+            raise RuntimeError(
+                f"face data mismatch for {spec}: closed form {faces}, t={t}; "
+                f"diagram {diag.faces}, t={diag.twist_count}"
+            )
+    bounds = _bounds_for(spec, faces, t)
     best = min(v for _, v in bounds)
     margin = two_pi_log_det - best
     return BoundReport(
@@ -118,7 +136,7 @@ def check(spec: FamilySpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> BoundReport
         hyperbolic_status="assumed_hyperbolic",
         verdict=_verdict(margin, False),
         margin=margin,
-        twist_count=diag.twist_count,
+        twist_count=t,
         crossing_count=c,
     )
 
@@ -191,50 +209,7 @@ def stoimenow_certificate(t: int, c: int, rule: str = "general") -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pretzel machinery in closed form (fast path for the enumeration)
-
-
-def pretzel_face_vector(arrangement: tuple[int, ...]) -> FaceVector:
-    """Faces of the standard pretzel diagram, computed without building it.
-
-    One face of size a_i + a_{i+1} between consecutive twist regions
-    (cyclically), one bigon per extra crossing inside a region, and the two
-    n-gon faces through the middle.  Validated against the diagram route in
-    the tests.
-    """
-    n = len(arrangement)
-    if n < 3:
-        raise ValueError("need at least 3 twist regions")
-    counts: dict[int, int] = {}
-
-    def add(size: int, mult: int = 1):
-        counts[size] = counts.get(size, 0) + mult
-
-    for i in range(n):
-        add(arrangement[i] + arrangement[(i + 1) % n])
-    bigons = sum(a - 1 for a in arrangement)
-    if bigons:
-        add(2, bigons)
-    add(n, 2)
-    return FaceVector(counts)
-
-
-def pretzel_detected_twists(arrangement: tuple[int, ...]) -> int:
-    """Twist regions of the standard pretzel diagram.
-
-    Cyclically adjacent single-crossing regions share a bigon and merge.
-    """
-    n = len(arrangement)
-    if n < 3:
-        raise ValueError("need at least 3 twist regions")
-    if all(a == 1 for a in arrangement):
-        return 1
-    merges = sum(
-        1
-        for i in range(n)
-        if arrangement[i] == 1 and arrangement[(i + 1) % n] == 1
-    )
-    return n - merges
+# pretzel enumeration
 
 
 def _unique_necklaces(sorted_tuple: tuple[int, ...]):

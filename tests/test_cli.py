@@ -1,10 +1,12 @@
 """CLI surface: exit codes, formats, and the pd subcommand."""
 
 import json
+import sys
 
 import pytest
 
 from detvol.cli import main
+from detvol.families import weaving_det
 
 
 def run(capsys, *argv):
@@ -41,6 +43,21 @@ class TestCheck:
         row = json.loads(out)[0]
         assert row["det"] == "384"
         assert row["verdict"] == "holds"
+
+    def test_determinant_over_str_digit_limit(self, capsys):
+        # W(20000)'s determinant has over 11k digits, past the default limit
+        # of 4300 for str(int) on Python >= 3.11
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        try:
+            code, out, err = run(capsys, "check", "W(20000)")
+            want = str(weaving_det(20000))
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "")
+        assert len(want) > 4300
+        [det_line] = [ln for ln in out.splitlines() if ln.startswith("det ")]
+        assert det_line.split()[1] == want
 
     def test_flag_before_subcommand(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "check", "W(4)")

@@ -1,6 +1,7 @@
 """Closed-form determinants, the V function, and the statement suites."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -116,7 +117,7 @@ class TestThreeBraidDet:
         assert threebraid_det([(1, 1)] * 3) == 16
 
     def test_all_ones_closed_form(self):
-        for n in range(1, 16):
+        for n in range(1, 30):
             assert threebraid_det([(1, 1)] * n) == threebraid_allones_det(n)
 
     def test_all_ones_matches_surd_expression(self):
@@ -188,6 +189,16 @@ class TestWeavingDet:
     def test_rejects(self):
         with pytest.raises(ValueError):
             weaving_det(0)
+
+    def test_doubling_matches_recurrence(self):
+        # G_{k+1} = 4 G_k - G_{k-1} and u_{k+1} = 3 u_k - u_{k-1}, step by step
+        g_prev, g = 2, 4
+        u_prev, u = 2, 3
+        for n in range(1, 501):
+            assert weaving_det(n) == n * (g - 2) // 2, n
+            assert threebraid_allones_det(n) == u - 2, n
+            g_prev, g = g, 4 * g - g_prev
+            u_prev, u = u, 3 * u - u_prev
 
 
 class TestStatementSuites:
@@ -312,6 +323,36 @@ class TestDiagrams:
             assert spanning_tree_count(d.white) == expect, spec
             assert d.faces.total_faces == d.crossing_count + 2
             assert d.faces.total_sides == 4 * d.crossing_count
+
+    def test_closed_form_face_data_matches_diagram(self):
+        specs = (
+            [TwoBridge(a) for a in compositions_upto(12)]
+            + [ThreeBraid(tuple(zip(a[::2], a[1::2])))
+               for a in compositions_upto(12) if len(a) % 2 == 0]
+            + [Pretzel(a) for a in compositions_upto(10)]
+            + [Weaving4(n) for n in range(1, 61)]
+        )
+        rng = random.Random(20261018)
+        for _ in range(20):
+            c = rng.randint(200, 600)
+            specs.append(Weaving4(c // 3))
+            a = [rng.randint(1, 4) for _ in range(2 * (c // 5))]
+            specs.append(ThreeBraid(tuple(zip(a[::2], a[1::2]))))
+            for family in (TwoBridge, Pretzel):
+                a = []
+                while sum(a) < c:
+                    a.append(rng.randint(1, 3))
+                specs.append(family(tuple(a)))
+        for spec in specs:
+            d = to_diagram(spec)
+            assert fam.face_vector(spec) == d.faces, spec
+            assert fam.detected_twist_count(spec) == d.twist_count, spec
+
+    def test_closed_form_twist_merges(self):
+        for text, t in [("R(1,1)", 1), ("R(1,2,1)", 1), ("R(1,1,1,1)", 2), ("W(2)", 4),
+                        ("B(1,2,1,3)", 3), ("B(1,1,1,1)", 2), ("P(1,1,2)", 2),
+                        ("P(2,3)", 1)]:
+            assert fam.detected_twist_count(parse_spec(text)) == t, text
 
     def test_weaving_face_vectors(self):
         for n in (5, 8):

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from detvol import families
 from detvol.families import Pretzel, ThreeBraid, TwoBridge, Weaving4, pretzel_det, to_diagram
-from detvol.hypvol import GAMMA, TWO_PI, V4, XI, ZETA
+from detvol.hypvol import GAMMA, TWO_PI, V4, XI, ZETA, FaceVector
 from detvol.verify import (
     check,
     enumerate_pretzels,
@@ -65,6 +66,35 @@ class TestCheck:
     def test_oracle_cap_runs(self):
         r = check(TwoBridge((2, 2, 2)), oracle_cap=10)
         assert r.verdict == "holds"
+
+    def test_no_diagram_above_cap(self, monkeypatch):
+        specs = [TwoBridge((2, 3, 4)), ThreeBraid(((2, 3), (1, 2))), Pretzel((2, 3, 7)),
+                 Weaving4(10)]
+        expect = [check(s) for s in specs]
+
+        def boom(spec):
+            raise AssertionError(f"diagram built for {spec}")
+
+        monkeypatch.setattr(families, "to_diagram", boom)
+        for spec, want in zip(specs, expect):
+            got = check(spec, oracle_cap=families.crossing_count(spec) - 1)
+            assert (got.det, got.bounds, got.twist_count, got.margin) == (
+                want.det, want.bounds, want.twist_count, want.margin)
+        assert check(Weaving4(300000)).verdict == "holds"
+        with pytest.raises(AssertionError):
+            check(Pretzel((2, 3, 7)), oracle_cap=12)
+
+    def test_wrong_face_data_under_cap_raises(self, monkeypatch):
+        real_faces, real_t = families.face_vector, families.detected_twist_count
+        monkeypatch.setattr(families, "face_vector",
+                            lambda s: FaceVector({**real_faces(s).counts, 50: 1}))
+        with pytest.raises(RuntimeError, match="face data mismatch"):
+            check(Pretzel((2, 3, 7)))
+        check(Pretzel((2, 3, 7)), oracle_cap=0)  # above the cap it is not checked
+        monkeypatch.setattr(families, "face_vector", real_faces)
+        monkeypatch.setattr(families, "detected_twist_count", lambda s: real_t(s) + 1)
+        with pytest.raises(RuntimeError, match="face data mismatch"):
+            check(TwoBridge((2, 3, 4)))
 
 
 class TestThresholds:
