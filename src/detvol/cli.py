@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import diagram as dgm
 from . import families as fam
@@ -21,30 +20,13 @@ from .hypvol import bipyramid_volume, constants
 from .multigraph import spanning_tree_count
 
 
-@dataclass
-class CliConfig:
-    output_format: str = "table"
-    precision_digits: int = 12
-    workers: int = 1
-    oracle_cap: int = verify.DEFAULT_ORACLE_CAP
-
-    def __post_init__(self):
-        if not (6 <= self.precision_digits <= 15):
-            raise ValueError("precision must be in [6, 15]")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.output_format not in ("table", "csv", "json"):
-            raise ValueError("format must be table, csv or json")
-
-
 def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     dflt = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument("--format", default=dflt("table"),
                         choices=("table", "csv", "json"))
     parser.add_argument("--precision", type=int, default=dflt(12), metavar="DIGITS",
                         help="digits shown in table output (6..15, default 12)")
-    parser.add_argument("--workers", type=int,
-                        default=dflt(int(os.environ.get("DETVOL_WORKERS", "1"))),
+    parser.add_argument("--workers", type=int, default=dflt(None),
                         help="worker processes for sweeps (env DETVOL_WORKERS)")
     parser.add_argument("--oracle-cap", type=int,
                         default=dflt(verify.DEFAULT_ORACLE_CAP),
@@ -91,14 +73,14 @@ def _fmt(x: float | None, digits: int) -> str:
     return "-" if x is None else f"{x:.{digits}g}"
 
 
-def _print_report(r: verify.BoundReport, cfg: CliConfig) -> None:
-    if cfg.output_format == "csv":
+def _print_report(r: verify.BoundReport, args) -> None:
+    if args.format == "csv":
         print(verify.reports_to_csv([r]), end="")
         return
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(verify.reports_to_json([r]))
         return
-    d = cfg.precision_digits
+    d = args.precision
     print(f"spec              {r.spec}")
     print(f"family            {fam.family_name(r.spec)}")
     print(f"crossings         {r.crossing_count}")
@@ -113,16 +95,16 @@ def _print_report(r: verify.BoundReport, cfg: CliConfig) -> None:
     print(f"verdict           {r.verdict}")
 
 
-def cmd_check(args, cfg: CliConfig) -> int:
+def cmd_check(args) -> int:
     spec = fam.parse_spec(args.spec)
-    report = verify.check(spec, oracle_cap=cfg.oracle_cap)
-    _print_report(report, cfg)
+    report = verify.check(spec, oracle_cap=args.oracle_cap)
+    _print_report(report, args)
     return 0 if report.verdict in ("holds", "vacuous") else 2
 
 
-def cmd_constants(args, cfg: CliConfig) -> int:
+def cmd_constants(args) -> int:
     k = constants()
-    d = cfg.precision_digits
+    d = args.precision
     rows = [
         ("v4", k.v4.value, "1.01494"),
         ("v8", k.v8.value, "3.66386237"),
@@ -140,7 +122,7 @@ def cmd_constants(args, cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_enumerate(args, cfg: CliConfig) -> int:
+def cmd_enumerate(args) -> int:
     if args.t_max > 8:
         print(
             f"warning: t-max={args.t_max} explores a large frontier; "
@@ -150,7 +132,7 @@ def cmd_enumerate(args, cfg: CliConfig) -> int:
     report = verify.enumerate_pretzels(
         args.t_max,
         t_min=args.t_min,
-        oracle_cap=cfg.oracle_cap,
+        oracle_cap=args.oracle_cap,
         rule=args.rule,
     )
     print(report.summary())
@@ -159,19 +141,19 @@ def cmd_enumerate(args, cfg: CliConfig) -> int:
     return 0 if not report.violations else 2
 
 
-def cmd_sweep(args, cfg: CliConfig) -> int:
+def cmd_sweep(args) -> int:
     reports = verify.sweep(
         args.family,
         args.sum_max,
-        oracle_cap=cfg.oracle_cap,
-        workers=cfg.workers,
+        oracle_cap=args.oracle_cap,
+        workers=args.workers,
     )
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(verify.reports_to_json(reports))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print(verify.reports_to_csv(reports), end="")
     else:
-        d = cfg.precision_digits
+        d = args.precision
         for r in reports:
             print(
                 f"{str(r.spec):<28} det {r.det:<14} "
@@ -180,7 +162,7 @@ def cmd_sweep(args, cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_pd(args, cfg: CliConfig) -> int:
+def cmd_pd(args) -> int:
     with open(args.file) as f:
         text = f.read()
     stripped = text.lstrip()
@@ -205,12 +187,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = CliConfig(
-            output_format=args.format,
-            precision_digits=args.precision,
-            workers=args.workers,
-            oracle_cap=args.oracle_cap,
-        )
+        if args.workers is None:
+            env = os.environ.get("DETVOL_WORKERS", "1")
+            try:
+                args.workers = int(env)
+            except ValueError:
+                raise ValueError(f"DETVOL_WORKERS must be an integer, got {env!r}") from None
+        if not (6 <= args.precision <= 15):
+            raise ValueError("precision must be in [6, 15]")
+        if args.workers < 1:
+            raise ValueError("workers must be >= 1")
         handler = {
             "check": cmd_check,
             "constants": cmd_constants,
@@ -218,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
             "sweep": cmd_sweep,
             "pd": cmd_pd,
         }[args.command]
-        return handler(args, cfg)
+        return handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

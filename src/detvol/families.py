@@ -247,21 +247,6 @@ def crossing_count(spec: FamilySpec) -> int:
     raise TypeError(f"not a family spec: {spec!r}")
 
 
-def structural_twist_count(spec: FamilySpec) -> int:
-    """Twist regions of the standard template, counted structurally.
-
-    Adjacent single-crossing regions can merge into one detected region in
-    the actual diagram; bound computations use the detected count.
-    """
-    if isinstance(spec, (TwoBridge, Pretzel)):
-        return len(spec.a)
-    if isinstance(spec, ThreeBraid):
-        return 2 * len(spec.pairs)
-    if isinstance(spec, Weaving4):
-        return 3 * spec.n
-    raise TypeError(f"not a family spec: {spec!r}")
-
-
 def _face_counts(sizes) -> FaceVector:
     counts: dict[int, int] = {}
     for size, mult in sizes:

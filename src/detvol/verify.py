@@ -17,6 +17,7 @@ many tuples below the passing frontier need an explicit diagram check.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -70,12 +71,8 @@ class BoundReport:
         return None
 
 
-def _verdict(margin: float | None, nonhyp: bool) -> str:
-    if nonhyp:
-        return "vacuous"
-    if margin is not None and margin > 0.0:
-        return "holds"
-    return "bound_inconclusive"
+def _verdict(margin: float) -> str:
+    return "holds" if margin > 0.0 else "bound_inconclusive"
 
 
 def check(spec: FamilySpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> BoundReport:
@@ -90,6 +87,7 @@ def check(spec: FamilySpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> BoundReport
     """
     d = fam.det(spec)
     c = fam.crossing_count(spec)
+    t = fam.detected_twist_count(spec)
     nonhyp, reason = fam.is_known_nonhyperbolic(spec)
     two_pi_log_det = TWO_PI * math.log(d) if d >= 1 else float("-inf")
 
@@ -103,13 +101,12 @@ def check(spec: FamilySpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> BoundReport
             hyperbolic_status="known_nonhyperbolic",
             verdict="vacuous",
             margin=None,
-            twist_count=fam.structural_twist_count(spec),
+            twist_count=t,
             crossing_count=c,
             reason=reason,
         )
 
     faces = fam.face_vector(spec)
-    t = fam.detected_twist_count(spec)
     if c <= oracle_cap:
         diag = fam.to_diagram(spec)
         t_sh = spanning_tree_count(diag.shaded)
@@ -134,7 +131,7 @@ def check(spec: FamilySpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> BoundReport
         bounds=bounds,
         best_bound=best,
         hyperbolic_status="assumed_hyperbolic",
-        verdict=_verdict(margin, False),
+        verdict=_verdict(margin),
         margin=margin,
         twist_count=t,
         crossing_count=c,
@@ -149,11 +146,6 @@ def _bounds_for(spec: FamilySpec, faces: FaceVector, t: int) -> list[tuple[str, 
     bounds.append(("lackenby", lackenby_bound(t).value))
     if isinstance(spec, Pretzel):
         bounds.append(("montesinos", montesinos_bound(t).value))
-    if isinstance(spec, TwoBridge) and len(spec.a) >= 2:
-        bounds.append(("family_specific", fam.twobridge_vol_upper(spec.a).value))
-    elif isinstance(spec, ThreeBraid):
-        v = fam.v_function(spec.flat)
-        bounds.append(("family_specific", TWO_PI * (math.log(v.numerator) - math.log(v.denominator))))
     return bounds
 
 
@@ -401,11 +393,6 @@ def sweep_specs(family: str, sum_max: int) -> list[FamilySpec]:
     raise ValueError(f"unknown family {family!r}; use R, B, P or W")
 
 
-def _check_worker(args) -> BoundReport:
-    spec, oracle_cap = args
-    return check(spec, oracle_cap=oracle_cap)
-
-
 def sweep(
     family: str,
     sum_max: int,
@@ -414,13 +401,13 @@ def sweep(
 ) -> list[BoundReport]:
     """One BoundReport per family member, in deterministic spec order."""
     specs = sweep_specs(family, sum_max)
-    jobs = [(s, oracle_cap) for s in specs]
-    if workers > 1 and len(jobs) > 64:
+    check_one = functools.partial(check, oracle_cap=oracle_cap)
+    if workers > 1 and len(specs) > 64:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            return pool.map(_check_worker, jobs, chunksize=256)
-    return [_check_worker(j) for j in jobs]
+            return pool.map(check_one, specs, chunksize=256)
+    return [check_one(s) for s in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -444,29 +431,28 @@ CSV_COLUMNS = (
 )
 
 
-def report_row(r: BoundReport) -> dict[str, str]:
-    def fmt(x: float | None) -> str:
-        return "" if x is None else repr(x)
-
+def report_row(r: BoundReport) -> dict[str, str | int | float | None]:
+    """One CSV/JSON row: det as an exact decimal string, reals as floats or None."""
     return {
         "spec": str(r.spec),
         "family": fam.family_name(r.spec),
-        "t": str(r.twist_count),
-        "c": str(r.crossing_count),
+        "t": r.twist_count,
+        "c": r.crossing_count,
         "det": str(r.det),
-        "two_pi_log_det": fmt(r.two_pi_log_det),
-        "adams_exact": fmt(r.bound("adams_exact")),
-        "adams_log": fmt(r.bound("adams_log")),
-        "lackenby": fmt(r.bound("lackenby")),
-        "montesinos": fmt(r.bound("montesinos")),
-        "best_bound": fmt(r.best_bound),
-        "margin": fmt(r.margin),
+        "two_pi_log_det": r.two_pi_log_det,
+        "adams_exact": r.bound("adams_exact"),
+        "adams_log": r.bound("adams_log"),
+        "lackenby": r.bound("lackenby"),
+        "montesinos": r.bound("montesinos"),
+        "best_bound": r.best_bound,
+        "margin": r.margin,
         "hyperbolic_status": r.hyperbolic_status,
         "verdict": r.verdict,
     }
 
 
 def reports_to_csv(reports: list[BoundReport]) -> str:
+    # the csv module writes None as "" and a float as its repr
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     w.writeheader()
@@ -476,20 +462,4 @@ def reports_to_csv(reports: list[BoundReport]) -> str:
 
 
 def reports_to_json(reports: list[BoundReport]) -> str:
-    rows = []
-    for r in reports:
-        row: dict = report_row(r)
-        for key in (
-            "two_pi_log_det",
-            "adams_exact",
-            "adams_log",
-            "lackenby",
-            "montesinos",
-            "best_bound",
-            "margin",
-        ):
-            row[key] = float(row[key]) if row[key] else None
-        row["t"] = int(row["t"])
-        row["c"] = int(row["c"])
-        rows.append(row)
-    return json.dumps(rows, indent=2)
+    return json.dumps([report_row(r) for r in reports], indent=2)

@@ -157,6 +157,12 @@ class TestConfigValidation:
         code, _, err = run(capsys, "--workers", "0", "constants")
         assert code == 1
 
+    def test_bad_workers_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("DETVOL_WORKERS", "abc")
+        code, _, err = run(capsys, "constants")
+        assert code == 1
+        assert err.startswith("error:") and "DETVOL_WORKERS" in err
+
     def test_workers_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("DETVOL_WORKERS", "2")
         code, out, _ = run(capsys, "sweep", "--family", "R", "--sum-max", "3")

@@ -284,10 +284,6 @@ class TestDiagrams:
         assert d.twist_count == 5
 
     def test_structural_counts(self):
-        assert fam.structural_twist_count(TwoBridge((3, 3, 2))) == 3
-        assert fam.structural_twist_count(ThreeBraid(((3, 3), (2, 3)))) == 4
-        assert fam.structural_twist_count(Pretzel((2, 3, 7))) == 3
-        assert fam.structural_twist_count(Weaving4(5)) == 15
         assert fam.crossing_count(Weaving4(5)) == 15
 
     def test_detected_equals_structural_for_generic(self):
@@ -367,6 +363,24 @@ class TestDiagrams:
             al = adams_bound_log(d.faces).value
             assert al <= TWO_PI * math.log(v_function(a)) + 1e-9, a
             assert al <= twobridge_vol_upper(a).value + 1e-9, a
+
+    def test_threebraid_diagram_bound_below_v(self):
+        # adams_exact <= adams_log <= 2*pi*log V: a V-based 3-braid bound
+        # can never be the best one
+        from detvol.hypvol import adams_bound_exact, adams_bound_log
+
+        for a in compositions_upto(10):
+            if len(a) % 2:
+                continue
+            spec = ThreeBraid(tuple(zip(a[::2], a[1::2])))
+            if is_known_nonhyperbolic(spec)[0]:
+                continue
+            faces = to_diagram(spec).faces
+            r, s = faces.two_largest()
+            ae = adams_bound_exact(faces, r, s).value
+            al = adams_bound_log(faces, r, s).value
+            assert ae <= al + 1e-9, a
+            assert al <= TWO_PI * math.log(v_function(spec.flat)) + 1e-9, a
 
     def test_allones_threebraid_laplacian_template(self):
         # hub of degree n joined to an n-cycle of degree-3 vertices

@@ -9,6 +9,7 @@ from detvol import families
 from detvol.families import Pretzel, ThreeBraid, TwoBridge, Weaving4, pretzel_det, to_diagram
 from detvol.hypvol import GAMMA, TWO_PI, V4, XI, ZETA, FaceVector
 from detvol.verify import (
+    CSV_COLUMNS,
     check,
     enumerate_pretzels,
     high_twist_threshold,
@@ -95,6 +96,19 @@ class TestCheck:
         monkeypatch.setattr(families, "detected_twist_count", lambda s: real_t(s) + 1)
         with pytest.raises(RuntimeError, match="face data mismatch"):
             check(TwoBridge((2, 3, 4)))
+
+
+    def test_vacuous_twist_count_is_the_diagrams(self):
+        for text in ("R(1,1)", "R(1,1,1)", "P(2,3)", "P(1,1,1)", "B(1,4)", "W(1)"):
+            spec = families.parse_spec(text)
+            r = check(spec)
+            assert r.verdict == "vacuous", text
+            assert r.twist_count == to_diagram(spec).twist_count, text
+
+    def test_only_served_bounds(self):
+        for spec in (TwoBridge((1, 1, 2)), TwoBridge((3, 4, 2)), ThreeBraid(((2, 2), (2, 3))),
+                     Pretzel((2, 3, 7)), Weaving4(5)):
+            assert {name for name, _ in check(spec).bounds} <= set(CSV_COLUMNS), spec
 
 
 class TestThresholds:
@@ -263,6 +277,27 @@ class TestSerialization:
         assert byspec["W(1)"]["verdict"] == "vacuous"
         assert byspec["W(3)"]["det"] == "75"
         assert byspec["W(3)"]["verdict"] == "holds"
+
+    def test_csv_and_json_carry_the_same_rows(self):
+        import csv
+        import io
+        import json
+
+        ints = {"t", "c"}
+        strings = {"spec", "family", "det", "hyperbolic_status", "verdict"}
+
+        def typed(key, value):
+            if key in strings:
+                return value
+            if key in ints:
+                return int(value)
+            return float(value) if value else None
+
+        for family, sum_max in (("R", 8), ("W", 30)):
+            reports = sweep(family, sum_max)
+            from_csv = [{k: typed(k, v) for k, v in row.items()}
+                        for row in csv.DictReader(io.StringIO(reports_to_csv(reports)))]
+            assert json.loads(reports_to_json(reports)) == from_csv
 
     def test_det_is_exact_string(self):
         r = check(Weaving4(30), oracle_cap=0)
