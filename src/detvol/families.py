@@ -293,10 +293,15 @@ def face_vector(spec: FamilySpec) -> FaceVector:
         sizes += [(2 + x, 1) for x in a + b]
         return _face_counts(sizes)
     if isinstance(spec, Pretzel):
-        if len(spec.a) <= 2:  # a (2,k) torus diagram: k bigons, two k-gons
-            k = sum(spec.a)
+        a, n = spec.a, len(spec.a)
+        if n <= 2:  # a (2,k) torus diagram: k bigons, two k-gons
+            k = sum(a)
             return _face_counts([(2, k), (k, 2)])
-        return pretzel_face_vector(spec.a)
+        # an (a_{i-1} + a_i)-gon between consecutive regions (cyclically), a
+        # bigon per extra crossing inside a region, and the two n-gons
+        # through the middle
+        sizes = [(a[i - 1] + x, 1) for i, x in enumerate(a)]
+        return _face_counts(sizes + [(2, sum(a) - n), (n, 2)])
     if isinstance(spec, Weaving4):
         # columns (1,2) and (3,4) are triangles, (2,3) squares; the inner and
         # outer faces meet the n s1 and the n s3 crossings
@@ -328,46 +333,15 @@ def detected_twist_count(spec: FamilySpec) -> int:
         a, b = spec.flat[0::2], spec.flat[1::2]
         return 2 * len(a) - (a == (1, 1)) - (b == (1, 1))
     if isinstance(spec, Pretzel):
-        if len(spec.a) <= 2:  # every face between crossings is a bigon
+        a, n = spec.a, len(spec.a)
+        if n <= 2 or all(x == 1 for x in a):  # every face between crossings is a bigon
             return 1
-        return pretzel_detected_twists(spec.a)
+        # cyclically adjacent single-crossing regions share a bigon and merge
+        return n - sum(a[i - 1] == x == 1 for i, x in enumerate(a))
     if isinstance(spec, Weaving4):
         # W(2) only: the inner and outer faces are bigons
         return 4 if spec.n == 2 else 3 * spec.n
     raise TypeError(f"not a family spec: {spec!r}")
-
-
-def pretzel_face_vector(arrangement: tuple[int, ...]) -> FaceVector:
-    """Faces of the standard pretzel diagram, computed without building it.
-
-    One face of size a_i + a_{i+1} between consecutive twist regions
-    (cyclically), one bigon per extra crossing inside a region, and the two
-    n-gon faces through the middle.  Validated against the diagram route in
-    the tests.
-    """
-    n = len(arrangement)
-    if n < 3:
-        raise ValueError("need at least 3 twist regions")
-    sizes = [(arrangement[i - 1] + x, 1) for i, x in enumerate(arrangement)]
-    return _face_counts(sizes + [(2, sum(arrangement) - n), (n, 2)])
-
-
-def pretzel_detected_twists(arrangement: tuple[int, ...]) -> int:
-    """Twist regions of the standard pretzel diagram.
-
-    Cyclically adjacent single-crossing regions share a bigon and merge.
-    """
-    n = len(arrangement)
-    if n < 3:
-        raise ValueError("need at least 3 twist regions")
-    if all(a == 1 for a in arrangement):
-        return 1
-    merges = sum(
-        1
-        for i in range(n)
-        if arrangement[i] == 1 and arrangement[(i + 1) % n] == 1
-    )
-    return n - merges
 
 
 def to_diagram(spec: FamilySpec) -> dgm.Diagram:

@@ -159,13 +159,19 @@ def _check_two_faces(faces: FaceVector, r: int, s: int) -> None:
 
 
 def adams_bound_exact(faces: FaceVector, r: int, s: int) -> Real:
-    """Bipyramid volume bound: sum b_n vol(B_n) minus two chosen faces r, s."""
+    """Bipyramid volume bound: sum b_n vol(B_n) minus two chosen faces r, s.
+
+    The claimed error adds up the claimed errors of all sum b_n + 2 volumes,
+    plus an ulp of the sum for the rounding of each product b_n vol(B_n), of
+    the ``fsum`` and of the subtraction.
+    """
     _check_two_faces(faces, r, s)
-    total = math.fsum(
-        b * bipyramid_volume(n).value for n, b in faces.counts.items()
-    )
-    v = total - bipyramid_volume(r).value - bipyramid_volume(s).value
-    return Real(v, 1e-9)
+    vols = [(b, bipyramid_volume(n)) for n, b in faces.counts.items()]
+    vol_r, vol_s = bipyramid_volume(r), bipyramid_volume(s)
+    total = math.fsum(b * vol.value for b, vol in vols)
+    v = total - vol_r.value - vol_s.value
+    err = math.fsum(b * vol.abs_err for b, vol in vols) + vol_r.abs_err + vol_s.abs_err
+    return Real(v, err + (len(vols) + 2) * math.ulp(total))
 
 
 def adams_bound_log(faces: FaceVector, r: int | None = None, s: int | None = None) -> Real:

@@ -9,6 +9,7 @@ import sys
 import mpmath as mp
 import pytest
 
+from detvol.families import Weaving4, face_vector
 from detvol.hypvol import (
     GAMMA,
     TWO_PI,
@@ -206,6 +207,21 @@ class TestAdamsBounds:
             adams_bound_exact(fv, 3, 3)  # only one 3-face
         with pytest.raises(ValueError):
             adams_bound_exact(fv, 3, 5)  # 5 absent
+
+    def test_exact_error_grows_with_face_count(self):
+        # W(300000) sums 900,002 volumes and subtracts two, each claimed to
+        # 1e-12; the two 300000-gons cancel, leaving 600000 vol(B_3) +
+        # 300000 vol(B_4)
+        fv = face_vector(Weaving4(300000))
+        r, s = fv.two_largest()
+        bound = adams_bound_exact(fv, r, s)
+        assert bound.abs_err >= (fv.total_faces + 2) * 1e-12
+
+        def vol(n):
+            return n * (mp.clsin(2, 4 * mp.pi / n) / 2 + mp.clsin(2, mp.pi * (n - 2) / n))
+
+        assert abs(bound.value - float(600000 * vol(3) + 300000 * vol(4))) <= bound.abs_err
+        assert adams_bound_exact(FaceVector({2: 2, 3: 4}), 3, 3).abs_err < 1e-10
 
     def test_log_figure_eight(self):
         v = adams_bound_log(FaceVector({2: 2, 3: 4})).value

@@ -1,20 +1,25 @@
 """The conjecture checker, certificates, enumeration, and sweeps."""
 
+import csv
+import dataclasses
+import io
+import itertools
+import json
 import math
 import random
+import sys
 
 import pytest
 
-from detvol import families
+from detvol import families, verify
 from detvol.families import Pretzel, ThreeBraid, TwoBridge, Weaving4, pretzel_det, to_diagram
 from detvol.hypvol import GAMMA, TWO_PI, V4, XI, ZETA, FaceVector
 from detvol.verify import (
     CSV_COLUMNS,
+    canonical_arrangements,
     check,
     enumerate_pretzels,
     high_twist_threshold,
-    pretzel_detected_twists,
-    pretzel_face_vector,
     reports_to_csv,
     reports_to_json,
     stoimenow_certificate,
@@ -172,15 +177,45 @@ class TestPretzelClosedForms:
             arrangements.append(tuple(rng.randint(1, 5) for _ in range(n)))
         for arr in arrangements:
             d = to_diagram(Pretzel(arr))
-            assert pretzel_face_vector(arr) == d.faces, arr
-            assert pretzel_detected_twists(arr) == d.twist_count, arr
+            assert families.face_vector(Pretzel(arr)) == d.faces, arr
+            assert families.detected_twist_count(Pretzel(arr)) == d.twist_count, arr
 
     def test_all_ones_detection(self):
-        assert pretzel_detected_twists((1, 1, 1)) == 1
-        assert pretzel_detected_twists((1, 1, 1, 1, 1)) == 1
+        assert families.detected_twist_count(Pretzel((1, 1, 1))) == 1
+        assert families.detected_twist_count(Pretzel((1, 1, 1, 1, 1))) == 1
+
+
+def _least_form(arr):
+    n = len(arr)
+    return min(s[k:] + s[:k] for s in (arr, arr[::-1]) for k in range(n))
+
+
+def test_canonical_arrangements_match_brute_force():
+    for n in range(1, 8):
+        for multiset in itertools.combinations_with_replacement(range(1, 5), n):
+            expected = sorted({_least_form(p) for p in set(itertools.permutations(multiset))})
+            assert list(canonical_arrangements(multiset)) == expected, multiset
 
 
 class TestEnumerate:
+    def test_violation_path(self, monkeypatch):
+        # the first checked arrangement is reported inconclusive; the report
+        # must carry it with the margin that check gave
+        real_check = verify.check
+        checked = []
+
+        def fake_check(spec, oracle_cap):
+            r = real_check(spec, oracle_cap=oracle_cap)
+            checked.append(spec.a)
+            if len(checked) == 1:
+                r = dataclasses.replace(r, verdict="bound_inconclusive", margin=-0.5)
+            return r
+
+        monkeypatch.setattr(verify, "check", fake_check)
+        report = enumerate_pretzels(3)
+        assert report.violations == [(checked[0], -0.5)]
+        assert report.checked == len(checked) > 1
+
     def test_rejects_small(self):
         with pytest.raises(ValueError):
             enumerate_pretzels(2)
@@ -206,7 +241,7 @@ class TestEnumerate:
         # det >= 2 gamma^(t-1) for every hyperbolic pretzel that gets checked
         report = enumerate_pretzels(4)
         for arr in report.frontier[:50]:
-            t = pretzel_detected_twists(arr)
+            t = families.detected_twist_count(Pretzel(arr))
             assert pretzel_det(arr) >= 2 * GAMMA.value ** (t - 1) - 1e-9
 
 
@@ -268,8 +303,6 @@ class TestSerialization:
         assert len(lines) == len(reports) + 1
 
     def test_json(self):
-        import json
-
         reports = sweep("W", 9, oracle_cap=10)
         rows = json.loads(reports_to_json(reports))
         assert len(rows) == 3
@@ -279,10 +312,6 @@ class TestSerialization:
         assert byspec["W(3)"]["verdict"] == "holds"
 
     def test_csv_and_json_carry_the_same_rows(self):
-        import csv
-        import io
-        import json
-
         ints = {"t", "c"}
         strings = {"spec", "family", "det", "hyperbolic_status", "verdict"}
 
@@ -298,6 +327,22 @@ class TestSerialization:
             from_csv = [{k: typed(k, v) for k, v in row.items()}
                         for row in csv.DictReader(io.StringIO(reports_to_csv(reports)))]
             assert json.loads(reports_to_json(reports)) == from_csv
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_det_beyond_str_digit_limit(self):
+        r = check(Weaving4(20000), oracle_cap=0)
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)  # the default, which other tests may lift
+            csv_text = reports_to_csv([r])
+            json_text = reports_to_json([r])
+            sys.set_int_max_str_digits(0)
+            expected = str(r.det)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert len(expected) > 4300
+        assert next(csv.DictReader(io.StringIO(csv_text)))["det"] == expected
+        assert json.loads(json_text)[0]["det"] == expected
 
     def test_det_is_exact_string(self):
         r = check(Weaving4(30), oracle_cap=0)
