@@ -4,7 +4,9 @@ Subcommands: check, constants, enumerate, sweep, pd.  Exit codes are the
 machine contract: 0 for holds/vacuous, 2 for bound_inconclusive (or an
 enumeration with violations), 1 for input errors.  Table output truncates
 reals to --precision digits; csv/json always carry full precision and the
-determinant as an exact decimal string.
+determinant as an exact decimal string.  Exact integers are printed through
+``Decimal``, whose conversion to a string is exempt from the interpreter's
+int-to-str digit limit (W(20000)'s determinant has 11k digits).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from decimal import Decimal
 
 from . import diagram as dgm
 from . import families as fam
@@ -85,7 +88,7 @@ def _print_report(r: verify.BoundReport, args) -> None:
     print(f"family            {fam.family_name(r.spec)}")
     print(f"crossings         {r.crossing_count}")
     print(f"twist regions     {r.twist_count}")
-    print(f"det               {r.det}")
+    print(f"det               {Decimal(r.det)}")
     print(f"2*pi*log(det)     {_fmt(r.two_pi_log_det, d)}")
     for name, value in r.bounds:
         print(f"bound {name:<12} {_fmt(value, d)}")
@@ -156,7 +159,7 @@ def cmd_sweep(args) -> int:
         d = args.precision
         for r in reports:
             print(
-                f"{str(r.spec):<28} det {r.det:<14} "
+                f"{str(r.spec):<28} det {Decimal(r.det)!s:<14} "
                 f"margin {_fmt(r.margin, min(d, 6)):<12} {r.verdict}"
             )
     return 0
@@ -174,16 +177,12 @@ def cmd_pd(args) -> int:
     print(f"crossings     {diag.crossing_count}")
     print(f"faces         {diag.faces.counts}")
     print(f"twist regions {diag.twist_count}")
-    print(f"tau(shaded)   {spanning_tree_count(diag.shaded)}")
-    print(f"tau(white)    {spanning_tree_count(diag.white)}")
+    print(f"tau(shaded)   {Decimal(spanning_tree_count(diag.shaded))}")
+    print(f"tau(white)    {Decimal(spanning_tree_count(diag.white))}")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    # determinants are printed as exact decimals, W(20000)'s has 11k digits;
-    # Python >= 3.11 refuses str() of ints over 4300 digits by default
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

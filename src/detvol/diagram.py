@@ -40,35 +40,13 @@ class PDCode:
         self._validate()
 
     def _validate(self) -> None:
-        seen: dict[int, int] = {}
-        for t in self.crossings:
-            for a in t:
-                seen[a] = seen.get(a, 0) + 1
-        bad = {a: k for a, k in seen.items() if k != 2}
-        if bad:
-            raise ValueError(f"arcs must appear exactly twice; offenders: {bad}")
-        # connectivity of the crossing graph through arcs
-        arc_cr: dict[int, list[int]] = {}
-        for ci, t in enumerate(self.crossings):
-            for a in t:
-                arc_cr.setdefault(a, []).append(ci)
+        orbits = self.face_orbits()  # partner() rejects bad arc counts first
         n = len(self.crossings)
-        seen_c = [False] * n
-        stack = [0]
-        seen_c[0] = True
-        count = 1
-        while stack:
-            ci = stack.pop()
-            for a in self.crossings[ci]:
-                for cj in arc_cr[a]:
-                    if not seen_c[cj]:
-                        seen_c[cj] = True
-                        count += 1
-                        stack.append(cj)
-        if count != n:
+        # every arc lies on a face, so faces join crossings exactly as arcs do
+        if _classes(n, orbits) != 1:
             raise ValueError("diagram is not connected")
         # planarity: Euler characteristic of the map must be 2
-        if len(self.face_orbits()) != n + 2:
+        if len(orbits) != n + 2:
             raise ValueError("face traversal does not close up to a sphere map")
 
     @property
@@ -81,8 +59,11 @@ class PDCode:
         for ci, t in enumerate(self.crossings):
             for s, a in enumerate(t):
                 where.setdefault(a, []).append((ci, s))
+        bad = {a: len(ds) for a, ds in where.items() if len(ds) != 2}
+        if bad:
+            raise ValueError(f"arcs must appear exactly twice; offenders: {bad}")
         out: dict[Dart, Dart] = {}
-        for a, (d1, d2) in where.items():
+        for d1, d2 in where.values():
             out[d1] = d2
             out[d2] = d1
         return out
@@ -110,44 +91,31 @@ class PDCode:
         return faces
 
 
+def _classes(n: int, groups) -> int:
+    """Classes of crossings 0..n-1 when the crossings of each dart group are joined."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for group in groups:
+        root = find(group[0][0])
+        for ci, _ in group[1:]:
+            r = find(ci)
+            if r != root:
+                parent[r] = root
+    return sum(parent[i] == i for i in range(n))
+
+
 def faces(pd: PDCode) -> FaceVector:
     """Face-size multiset of the diagram."""
     counts: dict[int, int] = {}
     for f in pd.face_orbits():
         counts[len(f)] = counts.get(len(f), 0) + 1
     return FaceVector(counts)
-
-
-def _face_coloring(pd: PDCode):
-    """Face ids, the face of each dart, and a proper 2-coloring of faces.
-
-    The face containing dart (0, 1) is colored white (0); faces adjacent
-    across an arc get opposite colors.
-    """
-    orbits = pd.face_orbits()
-    face_of: dict[Dart, int] = {}
-    for fi, f in enumerate(orbits):
-        for d in f:
-            face_of[d] = fi
-    partner = pd.partner()
-    nf = len(orbits)
-    adj: list[set[int]] = [set() for _ in range(nf)]
-    for d, e in partner.items():
-        adj[face_of[d]].add(face_of[e])
-        adj[face_of[e]].add(face_of[d])
-    color = [-1] * nf
-    seed = face_of[(0, 1)]
-    color[seed] = 0
-    stack = [seed]
-    while stack:
-        f = stack.pop()
-        for g in adj[f]:
-            if color[g] == -1:
-                color[g] = 1 - color[f]
-                stack.append(g)
-            elif color[g] == color[f]:
-                raise ValueError("face adjacency is not 2-colorable; malformed map")
-    return orbits, face_of, color
 
 
 def checkerboard_graphs(pd: PDCode) -> tuple[Multigraph, Multigraph]:
@@ -157,25 +125,41 @@ def checkerboard_graphs(pd: PDCode) -> tuple[Multigraph, Multigraph]:
     the two opposite corners of that color.  White is the class of the face
     containing dart (0, 1).
     """
-    orbits, face_of, color = _face_coloring(pd)
-    vidx: dict[int, dict[int, int]] = {0: {}, 1: {}}
-    edges: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
-    for fi in range(len(orbits)):
-        vm = vidx[color[fi]]
-        vm[fi] = len(vm)
-    for ci in range(pd.crossing_count):
-        # corner k sits between slots k and k+1; its face leaves via slot k+1
-        corner_faces = [face_of[(ci, (k + 1) % 4)] for k in range(4)]
-        cols = [color[f] for f in corner_faces]
-        if cols[0] != cols[2] or cols[1] != cols[3] or cols[0] == cols[1]:
-            raise ValueError("corner colors do not alternate; malformed map")
-        for par in (0, 1):
-            ks = [k for k in range(4) if cols[k] == par]
-            f1, f2 = corner_faces[ks[0]], corner_faces[ks[1]]
-            edges[par].append((vidx[par][f1], vidx[par][f2]))
-    white = Multigraph(len(vidx[0]), edges[0])
-    shaded = Multigraph(len(vidx[1]), edges[1])
-    return shaded, white
+    orbits = pd.face_orbits()
+    partner = pd.partner()
+    n = pd.crossing_count
+    # The face leaving crossing ci through slot s gets color (s + flip[ci]) % 2,
+    # so corner colors alternate around every crossing.  The face leaving
+    # (ci, s) also leaves (cj, sj + 1) for the partner (cj, sj), which fixes
+    # flip[cj]; flip[0] = 1 makes the face of dart (0, 1) white (0).
+    flip = [-1] * n
+    flip[0] = 1
+    stack = [0]
+    while stack:
+        ci = stack.pop()
+        for s in range(4):
+            cj, sj = partner[(ci, s)]
+            f = (flip[ci] + s - sj - 1) % 2
+            if flip[cj] == -1:
+                flip[cj] = f
+                stack.append(cj)
+            elif flip[cj] != f:
+                raise ValueError("face adjacency is not 2-colorable; malformed map")
+    vertex = [0] * (4 * n)  # dart 4*ci + s -> its face's number within its color
+    sizes = [0, 0]
+    for f in orbits:
+        ci, s = f[0]
+        color = (s + flip[ci]) % 2
+        for cj, sj in f:
+            vertex[4 * cj + sj] = sizes[color]
+        sizes[color] += 1
+    edges: tuple[list, list] = ([], [])
+    for ci in range(n):
+        for color in (0, 1):
+            # slots s and s + 2 leave the two corners of this color
+            s = 2 - (color + flip[ci]) % 2
+            edges[color].append((vertex[4 * ci + s], vertex[4 * ci + (s + 2) % 4]))
+    return Multigraph(sizes[1], edges[1]), Multigraph(sizes[0], edges[0])
 
 
 def twist_regions(pd: PDCode) -> int:
@@ -184,21 +168,7 @@ def twist_regions(pd: PDCode) -> int:
     Crossings joined by a bigon face belong to the same region; every
     crossing in no bigon is a region by itself.
     """
-    c = pd.crossing_count
-    parent = list(range(c))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f in pd.face_orbits():
-        if len(f) == 2:
-            r1, r2 = find(f[0][0]), find(f[1][0])
-            if r1 != r2:
-                parent[r1] = r2
-    return len({find(i) for i in range(c)})
+    return _classes(pd.crossing_count, [f for f in pd.face_orbits() if len(f) == 2])
 
 
 @dataclass(frozen=True)
@@ -229,19 +199,38 @@ def analyze(pd: PDCode) -> Diagram:
 # builders
 
 
-class _ArcMerger:
-    def __init__(self):
-        self.ident: dict[int, int] = {}
+def _walk(arc: list[int], word: list[int]) -> list[tuple[int, int, int, int]]:
+    """Crossings of ``word`` on strands entering with labels ``arc``.
 
-    def find(self, x: int) -> int:
-        while x in self.ident:
-            x = self.ident[x]
+    Each crossing gives its two outgoing strands fresh labels; ``arc`` is
+    updated in place to the labels leaving the word.
+    """
+    nxt = max(arc) + 1
+    crossings = []
+    for k in word:
+        if not (1 <= k < len(arc)):
+            raise ValueError(f"position {k} out of range")
+        a, b = arc[k - 1], arc[k]
+        crossings.append((a, b, nxt + 1, nxt))  # ccw: in-left, in-right, out-right, out-left
+        arc[k - 1], arc[k] = nxt, nxt + 1
+        nxt += 2
+    return crossings
+
+
+def _closed(crossings, joins) -> PDCode:
+    """The PD code of ``crossings`` once each label pair in ``joins`` is one arc."""
+    ident: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while x in ident:
+            x = ident[x]
         return x
 
-    def union(self, x: int, y: int) -> None:
-        fx, fy = self.find(x), self.find(y)
+    for x, y in joins:
+        fx, fy = find(x), find(y)
         if fx != fy:
-            self.ident[fx] = fy
+            ident[fx] = fy
+    return PDCode([tuple(find(a) for a in t) for t in crossings])
 
 
 def braid_closure_pd(strands: int, word: list[int]) -> PDCode:
@@ -261,37 +250,15 @@ def braid_closure_pd(strands: int, word: list[int]) -> PDCode:
     if touched != set(range(1, strands + 1)):
         raise ValueError("every strand must participate in a crossing")
     arc = list(range(strands))
-    nxt = strands
-    crossings = []
-    for k in word:
-        a, b = arc[k - 1], arc[k]
-        c, d = nxt, nxt + 1
-        nxt += 2
-        crossings.append((a, b, d, c))  # ccw: in-left, in-right, out-right, out-left
-        arc[k - 1], arc[k] = c, d
-    merge = _ArcMerger()
-    for i in range(strands):
-        merge.union(arc[i], i)
-    return PDCode([tuple(merge.find(a) for a in t) for t in crossings])
+    crossings = _walk(arc, word)
+    return _closed(crossings, zip(arc, range(strands)))
 
 
 def plat_closure_pd(word: list[int], top_caps: list[tuple[int, int]]) -> PDCode:
     """Plat closure of a 4-strand word: bottom caps (1,2),(3,4), given top caps."""
     arc = [0, 0, 1, 1]
-    nxt = 2
-    crossings = []
-    for k in word:
-        if not (1 <= k <= 3):
-            raise ValueError(f"position {k} out of range")
-        a, b = arc[k - 1], arc[k]
-        c, d = nxt, nxt + 1
-        nxt += 2
-        crossings.append((a, b, d, c))
-        arc[k - 1], arc[k] = c, d
-    merge = _ArcMerger()
-    for (i, j) in top_caps:
-        merge.union(arc[i - 1], arc[j - 1])
-    return PDCode([tuple(merge.find(a) for a in t) for t in crossings])
+    crossings = _walk(arc, word)
+    return _closed(crossings, [(arc[i - 1], arc[j - 1]) for (i, j) in top_caps])
 
 
 class PlaneGraph:
@@ -301,15 +268,8 @@ class PlaneGraph:
         """``rotations[v]`` lists darts (edge_id, end) counterclockwise at v."""
         self.edges = list(edges)
         self.rotations = [list(r) for r in rotations]
-        count: dict[tuple[int, int], int] = {}
-        for r in self.rotations:
-            for d in r:
-                count[d] = count.get(d, 0) + 1
-        expect = {}
-        for eid, (u, v) in enumerate(self.edges):
-            expect[(eid, 0)] = 1
-            expect[(eid, 1)] = 1
-        if count != expect:
+        darts = sorted(d for r in self.rotations for d in r)
+        if darts != [(eid, end) for eid in range(len(self.edges)) for end in (0, 1)]:
             raise ValueError("rotation system does not list each dart exactly once")
 
     @property

@@ -10,7 +10,9 @@ to a few ulps, well inside the advertised 1e-12 absolute error:
   t = +-pi, so on [0, pi/2] the rule's error falls like 5.8^(-2n): about
   1e-24 at n = 16, below the rounding of the sum.
 * ``bipyramid_volume(n)`` is the volume of the regular ideal n-bipyramid
-  (n = 4 gives the regular ideal octahedron).
+  (n = 4 gives the regular ideal octahedron).  Its claimed error grows with
+  n, since L(pi/2 - pi/n) ~ (pi/n) log 2 is a difference of two O(1) terms
+  that is then multiplied by n.
 * The upper bounds for alternating links: the bipyramid face-sum bound and
   its logarithmic closed form, the twist-number bound 10*v4*(t-1), and the
   Montesinos bound 2*v8*t.  The determinant lower bound 2*gamma^(t-1) is the
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 TWO_PI = 2.0 * math.pi
+_BIPYRAMID_ERR_PER_SIDE = 8 * math.ulp(1.0)
 
 
 def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
@@ -91,13 +94,17 @@ def _lob_core(x: float) -> float:
 
 
 def bipyramid_volume(n: int) -> Real:
-    """Volume of the regular ideal n-bipyramid; zero for the degenerate n=2."""
+    """Volume of the regular ideal n-bipyramid; zero for the degenerate n=2.
+
+    The claimed error is 1e-12 + 8 n ulp(1): the measured error is below
+    1.6 n ulp(1) up to n = 10^7.
+    """
     if n < 2:
         raise ValueError("bipyramid needs n >= 2")
     if n == 2:
         return Real(0.0, 0.0)
     v = n * (_lob(TWO_PI / n) + 2.0 * _lob(math.pi * (n - 2) / (2.0 * n)))
-    return Real(v, 1e-12)
+    return Real(v, 1e-12 + n * _BIPYRAMID_ERR_PER_SIDE)
 
 
 class FaceVector:

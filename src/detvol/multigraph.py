@@ -65,24 +65,9 @@ def laplacian(g: Multigraph) -> list[list[int]]:
     return L
 
 
-def spanning_tree_count(g: Multigraph, drop_vertex: int = 0) -> int:
-    """Number of spanning trees, via a principal minor of the Laplacian.
-
-    The result does not depend on which vertex is dropped; ``drop_vertex``
-    is exposed so tests can verify that.
-    """
-    n = g.vertex_count
-    if not (0 <= drop_vertex < n):
-        raise ValueError("drop_vertex out of range")
-    if n == 1:
-        return 1
-    L = laplacian(g)
-    minor = [
-        [L[i][j] for j in range(n) if j != drop_vertex]
-        for i in range(n)
-        if i != drop_vertex
-    ]
-    return bareiss_det(minor)
+def spanning_tree_count(g: Multigraph) -> int:
+    """Number of spanning trees: the Laplacian minor without vertex 0."""
+    return bareiss_det([row[1:] for row in laplacian(g)[1:]])
 
 
 def spanning_tree_count_bruteforce(g: Multigraph) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -47,17 +48,23 @@ class TestCheck:
     def test_determinant_over_str_digit_limit(self, capsys):
         # W(20000)'s determinant has over 11k digits, past the default limit
         # of 4300 for str(int) on Python >= 3.11
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        try:
-            code, out, err = run(capsys, "check", "W(20000)")
-            want = str(weaving_det(20000))
-        finally:
-            if limit is not None:
-                sys.set_int_max_str_digits(limit)
+        code, out, err = run(capsys, "check", "W(20000)")
+        want = str(Decimal(weaving_det(20000)))
         assert (code, err) == (0, "")
         assert len(want) > 4300
         [det_line] = [ln for ln in out.splitlines() if ln.startswith("det ")]
         assert det_line.split()[1] == want
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    def test_main_keeps_str_digit_limit(self, capsys):
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            for argv in (["constants"], ["check", "W(20000)"], ["sweep", "--family", "W", "--sum-max", "6"]):
+                assert run(capsys, *argv)[0] == 0
+                assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_flag_before_subcommand(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "check", "W(4)")

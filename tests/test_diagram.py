@@ -19,6 +19,7 @@ from detvol.diagram import (
     plat_closure_pd,
     twist_regions,
 )
+from detvol.families import ThreeBraid, TwoBridge, to_diagram
 from detvol.multigraph import spanning_tree_count
 
 # standard PD codes (slot order is a ccw cycle; over/under ignored):
@@ -29,19 +30,31 @@ FIG8_PD = [(0, 1, 4, 3), (4, 2, 6, 5), (3, 5, 8, 0), (8, 6, 2, 1)]
 
 class TestPDValidation:
     def test_arc_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"exactly twice; offenders: \{1: 4\}"):
             PDCode([(1, 1, 1, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"offenders: \{1: 1, 2: 1, 3: 1, 4: 1\}"):
             PDCode([(1, 2, 3, 4)])
 
     def test_disconnected(self):
         # two disjoint kinked unknots
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not connected"):
             PDCode([(0, 0, 1, 1), (2, 2, 3, 3)])
 
+    def test_disconnected_with_sphere_face_count(self):
+        # a kink on the sphere (3 faces) and a crossing on the torus (1 face)
+        # have c + 2 faces together, so only connectivity rejects them
+        with pytest.raises(ValueError, match="not connected"):
+            PDCode([(0, 0, 1, 1), (10, 11, 10, 11)])
+
+    def test_not_a_sphere(self):
+        with pytest.raises(ValueError, match="does not close up to a sphere map"):
+            PDCode([(0, 1, 0, 1)])
+
     def test_wrong_slot_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not have 4 slots"):
             PDCode([(1, 2, 3)])
+        with pytest.raises(ValueError, match="at least one crossing"):
+            PDCode([])
 
     def test_valid(self):
         pd = PDCode(TREFOIL_PD)
@@ -112,10 +125,37 @@ class TestTwistRegions:
 
 class TestBuilders:
     def test_braid_needs_all_strands(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="every strand must participate"):
             braid_closure_pd(3, [1, 1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="position 2 out of range"):
             braid_closure_pd(2, [2])
+
+    def test_pinned_crossings(self):
+        # PD codes of the standard diagrams, recorded before the builders
+        # shared one word walker and one label-joining step
+        assert braid_closure_pd(4, [1, 3, 2] * 3).crossings == [
+            (0, 1, 5, 4), (2, 3, 7, 6), (5, 6, 9, 8), (4, 8, 11, 10), (9, 7, 13, 12),
+            (11, 12, 15, 14), (10, 14, 17, 0), (15, 13, 3, 18), (17, 18, 2, 1),
+        ]
+        # R(2,1,3) and R(1,1,1,1) as in families.to_diagram
+        assert plat_closure_pd([2, 2, 1, 2, 2, 2], [(1, 2), (3, 4)]).crossings == [
+            (0, 1, 3, 2), (2, 3, 5, 4), (0, 4, 7, 12), (7, 5, 9, 8), (8, 9, 11, 10),
+            (10, 11, 1, 12),
+        ]
+        assert plat_closure_pd([2, 1, 2, 1], [(2, 3), (1, 4)]).crossings == [
+            (0, 1, 3, 2), (0, 2, 5, 4), (5, 3, 7, 6), (4, 6, 7, 1),
+        ]
+        # B(1,2,3,1): sigma1 sigma2^2 sigma1^3 sigma2
+        assert braid_closure_pd(3, [1, 2, 2, 1, 1, 1, 2]).crossings == [
+            (0, 1, 4, 3), (4, 2, 6, 5), (5, 6, 8, 7), (3, 7, 10, 9), (9, 10, 12, 11),
+            (11, 12, 14, 0), (14, 8, 2, 1),
+        ]
+        for spec, want in (
+            (TwoBridge((2, 1, 3)), plat_closure_pd([2, 2, 1, 2, 2, 2], [(1, 2), (3, 4)])),
+            (TwoBridge((1, 1, 1, 1)), plat_closure_pd([2, 1, 2, 1], [(2, 3), (1, 4)])),
+            (ThreeBraid(((1, 2), (3, 1))), braid_closure_pd(3, [1, 2, 2, 1, 1, 1, 2])),
+        ):
+            assert to_diagram(spec).pd.crossings == want.crossings
 
     def test_braid_crossing_count(self):
         pd = braid_closure_pd(2, [1, 1, 1])

@@ -137,6 +137,19 @@ class TestBipyramid:
             assert v > prev
             prev = v
 
+    def test_error_claim_grows_with_n(self):
+        # L(pi/2 - pi/n) ~ (pi/n) log 2 loses about n ulps once multiplied by n
+        mp.mp.dps = 40
+        try:
+            for n in (1000, 300000, 10**7):
+                exact = n * (mp.clsin(2, 4 * mp.pi / n) / 2 + mp.clsin(2, mp.pi * (n - 2) / n))
+                vol = bipyramid_volume(n)
+                assert abs(mp.mpf(vol.value) - exact) <= vol.abs_err
+        finally:
+            mp.mp.dps = 30
+        assert 1e-12 < bipyramid_volume(4).abs_err < 1.1e-12
+        assert bipyramid_volume(10**7).abs_err > 3.4e-9
+
     def test_ratio_approaches_one(self):
         ratios = [
             bipyramid_volume(n).value / (TWO_PI * math.log(n / 2))
