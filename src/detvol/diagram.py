@@ -4,6 +4,7 @@ A diagram is encoded as a PD code: one 4-tuple of arc labels per crossing,
 slots in counterclockwise order.  Over/under information is irrelevant for
 everything computed here (faces, checkerboard graphs, twist regions all
 depend only on the underlying 4-valent plane map), so the code omits it.
+A dart (an arc's end at slot s of crossing ci) is the integer d = 4*ci + s.
 
 Faces are the orbits of the rotation-system traversal; the checkerboard
 graphs have one vertex per face of a color class and one edge per crossing.
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 
 from .hypvol import FaceVector
 from .multigraph import Multigraph
-
-Dart = tuple[int, int]  # (crossing index, slot 0..3)
 
 
 class PDCode:
@@ -53,41 +52,36 @@ class PDCode:
     def crossing_count(self) -> int:
         return len(self.crossings)
 
-    def partner(self) -> dict[Dart, Dart]:
-        """The involution pairing the two darts of each arc."""
-        where: dict[int, list[Dart]] = {}
-        for ci, t in enumerate(self.crossings):
-            for s, a in enumerate(t):
-                where.setdefault(a, []).append((ci, s))
+    def partner(self) -> list[int]:
+        """The involution pairing the two darts of each arc, indexed by dart."""
+        where: dict[int, list[int]] = {}
+        for d, a in enumerate(x for t in self.crossings for x in t):
+            where.setdefault(a, []).append(d)
         bad = {a: len(ds) for a, ds in where.items() if len(ds) != 2}
         if bad:
             raise ValueError(f"arcs must appear exactly twice; offenders: {bad}")
-        out: dict[Dart, Dart] = {}
+        out = [0] * (4 * len(self.crossings))
         for d1, d2 in where.values():
             out[d1] = d2
             out[d2] = d1
         return out
 
-    def face_orbits(self) -> list[list[Dart]]:
+    def face_orbits(self) -> list[list[int]]:
         """Faces as dart cycles of the map (next = rotate the partner dart)."""
         partner = self.partner()
-        faces: list[list[Dart]] = []
-        seen: set[Dart] = set()
-        for ci in range(len(self.crossings)):
-            for s in range(4):
-                start = (ci, s)
-                if start in seen:
-                    continue
-                face = []
-                d = start
-                while True:
-                    face.append(d)
-                    seen.add(d)
-                    cj, sj = partner[d]
-                    d = (cj, (sj + 1) % 4)
-                    if d == start:
-                        break
-                faces.append(face)
+        faces: list[list[int]] = []
+        seen = [False] * len(partner)
+        for start in range(len(partner)):
+            if seen[start]:
+                continue
+            face = []
+            d = start
+            while not seen[d]:  # the orbit is a cycle: it ends back at start
+                face.append(d)
+                seen[d] = True
+                p = partner[d]
+                d = p - 3 if p % 4 == 3 else p + 1
+            faces.append(face)
         return faces
 
 
@@ -102,9 +96,9 @@ def _classes(n: int, groups) -> int:
         return x
 
     for group in groups:
-        root = find(group[0][0])
-        for ci, _ in group[1:]:
-            r = find(ci)
+        root = find(group[0] // 4)
+        for d in group[1:]:
+            r = find(d // 4)
             if r != root:
                 parent[r] = root
     return sum(parent[i] == i for i in range(n))
@@ -123,35 +117,35 @@ def checkerboard_graphs(pd: PDCode) -> tuple[Multigraph, Multigraph]:
 
     One vertex per face of the color class, one edge per crossing joining
     the two opposite corners of that color.  White is the class of the face
-    containing dart (0, 1).
+    containing dart 1 (crossing 0, slot 1).
     """
     orbits = pd.face_orbits()
     partner = pd.partner()
     n = pd.crossing_count
-    # The face leaving crossing ci through slot s gets color (s + flip[ci]) % 2,
-    # so corner colors alternate around every crossing.  The face leaving
-    # (ci, s) also leaves (cj, sj + 1) for the partner (cj, sj), which fixes
-    # flip[cj]; flip[0] = 1 makes the face of dart (0, 1) white (0).
+    # The face leaving dart d gets color (d + flip[d // 4]) % 2, so corner
+    # colors alternate around every crossing.  The face leaving d also leaves
+    # the dart after its partner p, which fixes flip[p // 4]; flip[0] = 1
+    # makes the face of dart 1 white (0).
     flip = [-1] * n
     flip[0] = 1
     stack = [0]
     while stack:
         ci = stack.pop()
-        for s in range(4):
-            cj, sj = partner[(ci, s)]
-            f = (flip[ci] + s - sj - 1) % 2
+        for d in range(4 * ci, 4 * ci + 4):
+            p = partner[d]
+            cj = p // 4
+            f = (flip[ci] + d - p - 1) % 2
             if flip[cj] == -1:
                 flip[cj] = f
                 stack.append(cj)
             elif flip[cj] != f:
                 raise ValueError("face adjacency is not 2-colorable; malformed map")
-    vertex = [0] * (4 * n)  # dart 4*ci + s -> its face's number within its color
+    vertex = [0] * (4 * n)  # dart -> its face's number within its color
     sizes = [0, 0]
     for f in orbits:
-        ci, s = f[0]
-        color = (s + flip[ci]) % 2
-        for cj, sj in f:
-            vertex[4 * cj + sj] = sizes[color]
+        color = (f[0] + flip[f[0] // 4]) % 2
+        for d in f:
+            vertex[d] = sizes[color]
         sizes[color] += 1
     edges: tuple[list, list] = ([], [])
     for ci in range(n):

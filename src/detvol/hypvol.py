@@ -97,10 +97,13 @@ def bipyramid_volume(n: int) -> Real:
     """Volume of the regular ideal n-bipyramid; zero for the degenerate n=2.
 
     The claimed error is 1e-12 + 8 n ulp(1): the measured error is below
-    1.6 n ulp(1) up to n = 10^7.
+    1.6 n ulp(1) up to n = 10^7.  n is capped at 2^53, the largest n up to
+    which every integer is exact in float64.
     """
     if n < 2:
         raise ValueError("bipyramid needs n >= 2")
+    if n > 2**53:
+        raise ValueError("bipyramid needs n <= 2**53, where n is exact as a float")
     if n == 2:
         return Real(0.0, 0.0)
     v = n * (_lob(TWO_PI / n) + 2.0 * _lob(math.pi * (n - 2) / (2.0 * n)))

@@ -35,8 +35,6 @@ from .families import (
 )
 from .hypvol import (
     TWO_PI,
-    ZETA,
-    XI,
     FaceVector,
     adams_bound_exact,
     adams_bound_log,
@@ -167,12 +165,8 @@ def high_twist_threshold(t: int, rule: str = "general") -> ThresholdResult:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if rule == "general":
-        thr = t + XI.value ** (t - 1) - stoimenow_lower_bound(t).value
-    elif rule == "montesinos":
-        thr = t + ZETA.value ** t - stoimenow_lower_bound(t).value
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
+    # exp(bound / 2pi) is xi^(t-1) for the general rule, zeta^t for montesinos
+    thr = t + math.exp(_rule_bound(t, rule) / TWO_PI) - stoimenow_lower_bound(t).value
     return ThresholdResult(t=t, c_threshold=thr, rule=rule)
 
 
@@ -350,6 +344,9 @@ def _compositions_upto(total_max: int):
 # R, B and P sweeps hold 2^sum_max - 1 compositions and ~1 KB per report,
 # so sum_max 20 is already about 1 GB of reports.
 MAX_COMPOSITION_SUM = 20
+# A W sweep to index N holds dets of about 0.24 n bytes for n <= N, about
+# 0.12 N^2 bytes in all: index 90,000 (sum_max 270,000) is again about 1 GB.
+MAX_WEAVING_SWEEP_SUM = 270_000
 
 
 def sweep_specs(family: str, sum_max: int) -> list[FamilySpec]:
@@ -360,7 +357,8 @@ def sweep_specs(family: str, sum_max: int) -> list[FamilySpec]:
     P: all twist tuples of length >= 3 with crossing number <= sum_max.
     W: all indices with crossing number 3n <= sum_max.
 
-    R, B and P take sum_max <= MAX_COMPOSITION_SUM; W is uncapped.
+    R, B and P take sum_max <= MAX_COMPOSITION_SUM, W sum_max <=
+    MAX_WEAVING_SWEEP_SUM.
     """
     if sum_max < 1:
         raise ValueError("sum_max must be >= 1")
@@ -368,6 +366,11 @@ def sweep_specs(family: str, sum_max: int) -> list[FamilySpec]:
         raise ValueError(
             f"sum_max {sum_max} > {MAX_COMPOSITION_SUM} for family {family}: "
             f"the sweep would hold about 2^{sum_max} specs"
+        )
+    if family == "W" and sum_max > MAX_WEAVING_SWEEP_SUM:
+        raise ValueError(
+            f"sum_max {sum_max} > {MAX_WEAVING_SWEEP_SUM} for family W: "
+            "the sweep would hold over 1 GB of determinants"
         )
     if family == "R":
         return [TwoBridge(a) for a in _compositions_upto(sum_max)]

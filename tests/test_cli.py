@@ -38,6 +38,21 @@ class TestCheck:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        # faces past 2**53 sides, where the bipyramid volume loses n
+        ("P(2,3," + "9" * 400 + ")", "bipyramid needs n <= 2**53"),
+        ("R(2,1" + "0" * 308 + ",3)", "bipyramid needs n <= 2**53"),
+        # weaving indices past MAX_WEAVING_INDEX; W(10^12)'s det is ~240 GB
+        ("W(1000001)", "weaving index must be <= 1000000"),
+        ("W(1000000000000)", "weaving index must be <= 1000000"),
+    ], ids=["P-400-digits", "R-10e308", "W-10e6+1", "W-10e12"])
+    def test_size_limits_exit_1(self, capsys, spec, message):
+        code, out, err = run(capsys, "check", spec)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: " + message)
+        assert "Traceback" not in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "check", "W(4)", "--format", "json")
         assert code == 0
@@ -111,6 +126,13 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_weaving_sum_max_too_large(self, capsys):
+        code, out, err = run(capsys, "sweep", "--family", "W", "--sum-max", "270003")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: sum_max 270003 > 270000 for family W")
         assert "Traceback" not in err
 
 

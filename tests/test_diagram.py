@@ -1,6 +1,7 @@
 """PD codes, faces, checkerboard graphs, twist regions, and the builders."""
 
 import json
+import random
 
 import pytest
 
@@ -59,6 +60,46 @@ class TestPDValidation:
     def test_valid(self):
         pd = PDCode(TREFOIL_PD)
         assert pd.crossing_count == 3
+
+
+class TestDarts:
+    """Dart 4*ci + s is slot s of crossing ci."""
+
+    def test_figure_eight_partner(self):
+        assert PDCode(FIG8_PD).partner() == [
+            11, 15, 4, 8, 2, 14, 13, 9, 3, 7, 12, 0, 10, 6, 5, 1,
+        ]
+
+    def test_figure_eight_face_orbits(self):
+        assert PDCode(FIG8_PD).face_orbits() == [
+            [0, 8], [1, 12, 11], [2, 5, 15], [3, 9, 4], [6, 14], [7, 10, 13],
+        ]
+
+    def test_random_codes(self):
+        # random pairings of the 4n slots into arcs; keep the valid maps
+        rng = random.Random(9)
+        valid = 0
+        for _ in range(3000):
+            n = rng.randint(1, 4)
+            slots = list(range(4 * n))
+            rng.shuffle(slots)
+            labels = [0] * (4 * n)
+            for k, d in enumerate(slots):
+                labels[d] = k // 2
+            try:
+                pd = PDCode([labels[4 * ci : 4 * ci + 4] for ci in range(n)])
+            except ValueError:
+                continue
+            valid += 1
+            partner = pd.partner()
+            assert all(partner[d] != d and partner[partner[d]] == d for d in range(4 * n))
+            orbits = pd.face_orbits()
+            assert len(orbits) == n + 2
+            assert sorted(d for f in orbits for d in f) == list(range(4 * n))
+            for f in orbits:  # next = the slot after the partner, ccw
+                for d, e in zip(f, f[1:] + f[:1]):
+                    assert e == 4 * (partner[d] // 4) + (partner[d] + 1) % 4
+        assert valid > 300
 
 
 class TestFaces:

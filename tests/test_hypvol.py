@@ -116,6 +116,15 @@ class TestBipyramid:
         with pytest.raises(ValueError):
             bipyramid_volume(1)
 
+    def test_size_limit(self):
+        # past 2**53, n is not exact as a float: unchecked, 10**20 gives a
+        # negative volume and 10**309 an OverflowError
+        vol = bipyramid_volume(2**53)
+        assert math.isfinite(vol.value) and vol.value < TWO_PI * math.log(2**52)
+        for n in (2**53 + 1, 10**20, 10**309):
+            with pytest.raises(ValueError, match=r"2\*\*53"):
+                bipyramid_volume(n)
+
     def test_octahedron(self):
         assert abs(bipyramid_volume(4).value - 3.66386237) < 1e-8
         assert abs(bipyramid_volume(4).value - V8.value) < 1e-13

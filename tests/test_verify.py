@@ -110,6 +110,19 @@ class TestCheck:
             assert r.verdict == "vacuous", text
             assert r.twist_count == to_diagram(spec).twist_count, text
 
+    def test_face_over_2_53_is_an_input_error(self):
+        # unchecked, a twist entry of 10**308 gives margin nan and 10**309
+        # an OverflowError; the bipyramid of the face it makes rejects both
+        for x in (2**53, 10**308, 10**309):
+            for spec in (
+                TwoBridge((2, x, 3)),
+                Pretzel((2, 3, x)),
+                ThreeBraid(((2, x),)),
+                ThreeBraid(((2, 2), (x, 3))),
+            ):
+                with pytest.raises(ValueError, match=r"2\*\*53"):
+                    check(spec)
+
     def test_only_served_bounds(self):
         for spec in (TwoBridge((1, 1, 2)), TwoBridge((3, 4, 2)), ThreeBraid(((2, 2), (2, 3))),
                      Pretzel((2, 3, 7)), Weaving4(5)):
@@ -257,6 +270,10 @@ class TestSweep:
             with pytest.raises(ValueError):
                 sweep_specs(family, 21)
         assert len(sweep_specs("W", 2000)) == 666
+        cap = verify.MAX_WEAVING_SWEEP_SUM  # about 1 GB of W determinants
+        assert len(sweep_specs("W", cap)) == cap // 3
+        with pytest.raises(ValueError, match="for family W"):
+            sweep_specs("W", cap + 1)
 
     def test_families(self):
         assert len(sweep_specs("W", 12)) == 4
