@@ -173,6 +173,7 @@ def cmd_pd(args) -> int:
         pd = dgm.parse_pd_json(text)
     else:
         pd = dgm.parse_pd_text(text)
+    verify.require_oracle_size(pd.crossing_count)
     diag = dgm.analyze(pd)
     print(f"crossings     {diag.crossing_count}")
     print(f"faces         {diag.faces.counts}")

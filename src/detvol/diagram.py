@@ -27,7 +27,7 @@ from .multigraph import Multigraph
 class PDCode:
     """A 4-valent plane map: list of crossings, each a ccw 4-tuple of arcs."""
 
-    __slots__ = ("crossings",)
+    __slots__ = ("crossings", "_partner")
 
     def __init__(self, crossings):
         self.crossings = [tuple(int(a) for a in t) for t in crossings]
@@ -36,10 +36,20 @@ class PDCode:
         for t in self.crossings:
             if len(t) != 4:
                 raise ValueError(f"crossing {t} does not have 4 slots")
+        where: dict[int, list[int]] = {}
+        for d, a in enumerate(x for t in self.crossings for x in t):
+            where.setdefault(a, []).append(d)
+        bad = {a: len(ds) for a, ds in where.items() if len(ds) != 2}
+        if bad:
+            raise ValueError(f"arcs must appear exactly twice; offenders: {bad}")
+        self._partner = [0] * (4 * len(self.crossings))
+        for d1, d2 in where.values():
+            self._partner[d1] = d2
+            self._partner[d2] = d1
         self._validate()
 
     def _validate(self) -> None:
-        orbits = self.face_orbits()  # partner() rejects bad arc counts first
+        orbits = self.face_orbits()
         n = len(self.crossings)
         # every arc lies on a face, so faces join crossings exactly as arcs do
         if _classes(n, orbits) != 1:
@@ -53,18 +63,12 @@ class PDCode:
         return len(self.crossings)
 
     def partner(self) -> list[int]:
-        """The involution pairing the two darts of each arc, indexed by dart."""
-        where: dict[int, list[int]] = {}
-        for d, a in enumerate(x for t in self.crossings for x in t):
-            where.setdefault(a, []).append(d)
-        bad = {a: len(ds) for a, ds in where.items() if len(ds) != 2}
-        if bad:
-            raise ValueError(f"arcs must appear exactly twice; offenders: {bad}")
-        out = [0] * (4 * len(self.crossings))
-        for d1, d2 in where.values():
-            out[d1] = d2
-            out[d2] = d1
-        return out
+        """The involution pairing the two darts of each arc, indexed by dart.
+
+        The list is the code's own, paired once when it was built; callers
+        must not change it.
+        """
+        return self._partner
 
     def face_orbits(self) -> list[list[int]]:
         """Faces as dart cycles of the map (next = rotate the partner dart)."""
@@ -135,11 +139,11 @@ def checkerboard_graphs(pd: PDCode) -> tuple[Multigraph, Multigraph]:
             p = partner[d]
             cj = p // 4
             f = (flip[ci] + d - p - 1) % 2
+            # a connected map on the sphere (which PDCode checked) is always
+            # 2-colourable, so a crossing reached again agrees with f
             if flip[cj] == -1:
                 flip[cj] = f
                 stack.append(cj)
-            elif flip[cj] != f:
-                raise ValueError("face adjacency is not 2-colorable; malformed map")
     vertex = [0] * (4 * n)  # dart -> its face's number within its color
     sizes = [0, 0]
     for f in orbits:

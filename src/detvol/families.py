@@ -12,11 +12,12 @@
   n*((2+sqrt3)^n + (2-sqrt3)^n - 2)/2, evaluated exactly by Lucas-sequence
   doubling (never floating point).
 
-All determinants are exact big integers.  ``face_vector`` and
-``detected_twist_count`` give the face sizes and the twist-region count of
-the standard diagram in closed form, so the volume bounds need no diagram.
-``to_diagram`` builds that diagram; it is the oracle that every closed form,
-determinant and face data alike, is checked against.
+All determinants are exact big integers.  ``closed_form`` gives, in one
+record, the face sizes, the twist-region count and the crossing number of the
+standard diagram, and whether the member is a known non-hyperbolic link, so
+the volume bounds need no diagram.  ``to_diagram`` builds that diagram; it is
+the oracle that every closed form, determinant and face data alike, is
+checked against, so it shares no code with them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import diagram as dgm
 from .hypvol import TWO_PI, FaceVector, Real
@@ -246,32 +248,33 @@ def det(spec: FamilySpec) -> int:
 # diagrams
 
 
-def crossing_count(spec: FamilySpec) -> int:
-    if isinstance(spec, TwoBridge):
-        return sum(spec.a)
-    if isinstance(spec, ThreeBraid):
-        return sum(spec.flat)
-    if isinstance(spec, Pretzel):
-        return sum(spec.a)
-    if isinstance(spec, Weaving4):
-        return 3 * spec.n
-    raise TypeError(f"not a family spec: {spec!r}")
+class ClosedForm(NamedTuple):
+    """What the volume bounds need of ``to_diagram(spec)``, and whether the
+    member is a known non-hyperbolic link."""
+
+    faces: FaceVector
+    twist_count: int
+    nonhyperbolic: str  # why the member is known non-hyperbolic, or ""
+
+    @property
+    def crossing_count(self) -> int:
+        return self.faces.total_sides // 4  # every crossing has four corners
 
 
-def _face_counts(sizes) -> FaceVector:
-    counts: dict[int, int] = {}
-    for size, mult in sizes:
-        counts[size] = counts.get(size, 0) + mult
-    return FaceVector(counts)
+def closed_form(spec: FamilySpec) -> ClosedForm:
+    """Face sizes, twist regions and known non-hyperbolicity of
+    ``to_diagram(spec)``, computed without building it.
 
-
-def face_vector(spec: FamilySpec) -> FaceVector:
-    """Face sizes of ``to_diagram(spec)``, computed without building it.
-
-    Each face is counted by the columns of the template it lies in; the
-    derivations are in the comments.  The test suite compares every result
-    with the diagram's own face traversal.
+    Each face is counted by the columns of the template it lies in, and the
+    template's blocks are its twist regions, except that a bigon face outside
+    every block joins the blocks it touches; the derivations are in the
+    comments.  The test suite compares every result with the diagram's own
+    traversal.  The non-hyperbolic members are torus links, connected-sum
+    torus cases and the trivial weaving closure; everything else is merely
+    assumed hyperbolic (reduced alternating, not an evident torus link),
+    never proven.
     """
+    reason = ""
     if isinstance(spec, TwoBridge):
         # Plat closure, bottom caps (1,2),(3,4): a_i is a block of crossings
         # at s2 for odd i, at s1 for even i.  Column (2,3) is cut by the s2
@@ -294,65 +297,68 @@ def face_vector(spec: FamilySpec) -> FaceVector:
             # in an (a_n + 1)-gon under its cap; the tops of columns (1,2) and
             # (3,4) join
             sizes += [(a[0] + 1, 1), (a[-1] + 1, 1), (s2 + 1, 1), (s1 + 1, 1)]
-        return _face_counts(sizes)
-    if isinstance(spec, ThreeBraid):
+        if n <= 2:
+            # R(a_1,a_2): the faces of sizes a_1 + 1 and a_2 + 1 touch both
+            # blocks, so either entry being 1 joins them
+            t = 1 if n == 1 or 1 in a else 2
+        else:
+            # the (a_1 + 1)-gon joins blocks 1, 2 when a_1 = 1, the (a_n + 1)-gon
+            # blocks n-1, n when a_n = 1; column (3,4) is a bigon only for
+            # R(1,x,1), whose blocks those two joins already connect
+            t = n - (a[0] == 1) - (a[-1] == 1)
+        if n == 1:
+            reason = "single twist region: a (2,k) torus link"
+        elif a == (1, 1):
+            reason = "R(1,1) is the Hopf link"
+        elif a == (1, 1, 1):
+            reason = "R(1,1,1) is the trefoil, a torus knot"
+    elif isinstance(spec, ThreeBraid):
         # Closure of prod s1^a_i s2^b_i: column (1,2) has bigons inside the s1
         # blocks and a (2 + b_i)-gon after block i, column (2,3) likewise;
         # the inner face meets every s1 crossing, the outer every s2 crossing.
         a, b = spec.flat[0::2], spec.flat[1::2]
         sizes = [(2, sum(a) + sum(b) - 2 * len(a)), (sum(a), 1), (sum(b), 1)]
         sizes += [(2 + x, 1) for x in a + b]
-        return _face_counts(sizes)
-    if isinstance(spec, Pretzel):
-        a, n = spec.a, len(spec.a)
-        if n <= 2:  # a (2,k) torus diagram: k bigons, two k-gons
-            k = sum(a)
-            return _face_counts([(2, k), (k, 2)])
-        # an (a_{i-1} + a_i)-gon between consecutive regions (cyclically), a
-        # bigon per extra crossing inside a region, and the two n-gons
-        # through the middle
-        sizes = [(a[i - 1] + x, 1) for i, x in enumerate(a)]
-        return _face_counts(sizes + [(2, sum(a) - n), (n, 2)])
-    if isinstance(spec, Weaving4):
-        # columns (1,2) and (3,4) are triangles, (2,3) squares; the inner and
-        # outer faces meet the n s1 and the n s3 crossings
-        n = spec.n
-        return _face_counts([(3, 2 * n), (4, n), (n, 2)])
-    raise TypeError(f"not a family spec: {spec!r}")
-
-
-def detected_twist_count(spec: FamilySpec) -> int:
-    """Twist regions of ``to_diagram(spec)``, computed without building it.
-
-    The template's blocks are its regions, except that a bigon face outside
-    every block joins the blocks it touches; the faces are those listed in
-    ``face_vector``.
-    """
-    if isinstance(spec, TwoBridge):
-        a, n = spec.a, len(spec.a)
-        if n <= 2:
-            # R(a_1,a_2): the faces of sizes a_1 + 1 and a_2 + 1 touch both
-            # blocks, so either entry being 1 joins them
-            return 1 if n == 1 or 1 in a else 2
-        # the (a_1 + 1)-gon joins blocks 1, 2 when a_1 = 1, the (a_n + 1)-gon
-        # blocks n-1, n when a_n = 1; column (3,4) is a bigon only for
-        # R(1,x,1), whose blocks those two joins already connect
-        return n - (a[0] == 1) - (a[-1] == 1)
-    if isinstance(spec, ThreeBraid):
         # the inner face is a bigon joining the two s1 blocks when
         # a_1 = a_2 = 1 (n = 2), the outer face likewise for the b blocks
-        a, b = spec.flat[0::2], spec.flat[1::2]
-        return 2 * len(a) - (a == (1, 1)) - (b == (1, 1))
-    if isinstance(spec, Pretzel):
+        t = 2 * len(a) - (a == (1, 1)) - (b == (1, 1))
+        if len(a) == 1 and 1 in spec.pairs[0]:
+            reason = "closure is a (2,k) torus link"
+    elif isinstance(spec, Pretzel):
         a, n = spec.a, len(spec.a)
-        if n <= 2 or all(x == 1 for x in a):  # every face between crossings is a bigon
-            return 1
-        # cyclically adjacent single-crossing regions share a bigon and merge
-        return n - sum(a[i - 1] == x == 1 for i, x in enumerate(a))
-    if isinstance(spec, Weaving4):
-        # W(2) only: the inner and outer faces are bigons
-        return 4 if spec.n == 2 else 3 * spec.n
-    raise TypeError(f"not a family spec: {spec!r}")
+        if n <= 2:  # a (2,k) torus diagram: k bigons, two k-gons, one region
+            k = sum(a)
+            sizes, t = [(2, k), (k, 2)], 1
+            # equivalent to a 2-bridge chain with a single twist region
+            reason = "a pretzel on <= 2 strands is a (2,k) torus link"
+        else:
+            # an (a_{i-1} + a_i)-gon between consecutive regions (cyclically),
+            # a bigon per extra crossing inside a region, and the two n-gons
+            # through the middle
+            sizes = [(a[i - 1] + x, 1) for i, x in enumerate(a)]
+            sizes += [(2, sum(a) - n), (n, 2)]
+            if all(x == 1 for x in a):  # every face between crossings is a bigon
+                t = 1
+                reason = "all-ones pretzel is the (2,n) torus link"
+            else:
+                # cyclically adjacent single-crossing regions share a bigon
+                # and merge
+                t = n - sum(a[i - 1] == x == 1 for i, x in enumerate(a))
+    elif isinstance(spec, Weaving4):
+        # columns (1,2) and (3,4) are triangles, (2,3) squares; the inner and
+        # outer faces meet the n s1 and the n s3 crossings, and are bigons,
+        # joining regions, for W(2) only
+        n = spec.n
+        sizes = [(3, 2 * n), (4, n), (n, 2)]
+        t = 4 if n == 2 else 3 * n
+        if n == 1:
+            reason = "closure of s1 s3 s2^-1 is the unknot"
+    else:
+        raise TypeError(f"not a family spec: {spec!r}")
+    counts: dict[int, int] = {}
+    for size, mult in sizes:
+        counts[size] = counts.get(size, 0) + mult
+    return ClosedForm(FaceVector(counts), t, reason)
 
 
 def to_diagram(spec: FamilySpec) -> dgm.Diagram:
@@ -379,45 +385,6 @@ def to_diagram(spec: FamilySpec) -> dgm.Diagram:
     else:
         raise TypeError(f"not a family spec: {spec!r}")
     return dgm.analyze(pd)
-
-
-# ---------------------------------------------------------------------------
-# hyperbolicity
-
-
-def is_known_nonhyperbolic(spec: FamilySpec) -> tuple[bool, str]:
-    """Known non-hyperbolic members: torus links, connected-sum torus cases,
-    and the trivial weaving closure.  Everything else is merely assumed
-    hyperbolic (reduced alternating, not an evident torus link), never proven.
-    """
-    if isinstance(spec, TwoBridge):
-        a = spec.a
-        if len(a) == 1:
-            return True, "single twist region: a (2,k) torus link"
-        if a == (1, 1):
-            return True, "R(1,1) is the Hopf link"
-        if a == (1, 1, 1):
-            return True, "R(1,1,1) is the trefoil, a torus knot"
-        return False, ""
-    if isinstance(spec, ThreeBraid):
-        if len(spec.pairs) == 1:
-            a1, b1 = spec.pairs[0]
-            if a1 == 1 or b1 == 1:
-                return True, "closure is a (2,k) torus link"
-        return False, ""
-    if isinstance(spec, Pretzel):
-        a = spec.a
-        if len(a) <= 2:
-            # equivalent to a 2-bridge chain with a single twist region
-            return True, "a pretzel on <= 2 strands is a (2,k) torus link"
-        if all(x == 1 for x in a):
-            return True, "all-ones pretzel is the (2,n) torus link"
-        return False, ""
-    if isinstance(spec, Weaving4):
-        if spec.n == 1:
-            return True, "closure of s1 s3 s2^-1 is the unknot"
-        return False, ""
-    raise TypeError(f"not a family spec: {spec!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -93,12 +93,15 @@ def _lob_core(x: float) -> float:
     return x * (1.0 - math.log(2.0 * x)) - x * smooth
 
 
+@lru_cache(maxsize=4096)
 def bipyramid_volume(n: int) -> Real:
     """Volume of the regular ideal n-bipyramid; zero for the degenerate n=2.
 
     The claimed error is 1e-12 + 8 n ulp(1): the measured error is below
     1.6 n ulp(1) up to n = 10^7.  n is capped at 2^53, the largest n up to
-    which every integer is exact in float64.
+    which every integer is exact in float64.  Results are memoized (the
+    bounds ask for the same few small sizes over and over); a rejected n is
+    not, so it raises on every call.
     """
     if n < 2:
         raise ValueError("bipyramid needs n >= 2")

@@ -35,7 +35,6 @@ from .families import (
 )
 from .hypvol import (
     TWO_PI,
-    FaceVector,
     adams_bound_exact,
     adams_bound_log,
     lackenby_bound,
@@ -45,6 +44,10 @@ from .hypvol import (
 from .multigraph import spanning_tree_count
 
 DEFAULT_ORACLE_CAP = 40
+# The oracle's Bareiss elimination grows like c^3 big-integer steps in the
+# crossing number c, so a diagram above this limit is refused, whatever the
+# oracle cap: on two cores a 400-crossing oracle check takes 0.5-2.5 s.
+MAX_ORACLE_CROSSINGS = 400
 
 
 @dataclass
@@ -68,82 +71,69 @@ class BoundReport:
         return None
 
 
-def _verdict(margin: float) -> str:
-    return "holds" if margin > 0.0 else "bound_inconclusive"
+def require_oracle_size(c: int) -> None:
+    """Reject a diagram of c crossings as too large for the oracle."""
+    if c > MAX_ORACLE_CROSSINGS:
+        raise ValueError(
+            f"{c} crossings is over the diagram oracle's limit of {MAX_ORACLE_CROSSINGS}"
+        )
 
 
 def check(spec: FamilySpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> BoundReport:
     """Full report for one family member.
 
-    The determinant, face sizes and twist count come from the family closed
-    forms, so a check costs O(len(spec)) big-integer steps and builds no
-    diagram.  When the crossing number is at most ``oracle_cap`` the diagram
-    is built as the oracle: the determinant is cross-checked against
-    matrix-tree counts on both checkerboard graphs, and the face sizes and
-    twist count against the diagram's own traversal.
+    The determinant and the diagram data come from the family closed forms,
+    so a check costs O(len(spec)) big-integer steps and builds no diagram.
+    When the crossing number is at most ``oracle_cap`` the diagram is built
+    as the oracle: the determinant is cross-checked against matrix-tree
+    counts on both checkerboard graphs, and the face sizes and twist count
+    against the diagram's own traversal.  A known non-hyperbolic member is
+    ``vacuous``: it gets no bounds and no oracle.
     """
     d = fam.det(spec)
-    c = fam.crossing_count(spec)
-    t = fam.detected_twist_count(spec)
-    nonhyp, reason = fam.is_known_nonhyperbolic(spec)
+    cf = fam.closed_form(spec)
+    c, t = cf.crossing_count, cf.twist_count
     two_pi_log_det = TWO_PI * math.log(d) if d >= 1 else float("-inf")
-
-    if nonhyp:
-        return BoundReport(
-            spec=spec,
-            det=d,
-            two_pi_log_det=two_pi_log_det,
-            bounds=[],
-            best_bound=None,
-            hyperbolic_status="known_nonhyperbolic",
-            verdict="vacuous",
-            margin=None,
-            twist_count=t,
-            crossing_count=c,
-            reason=reason,
-        )
-
-    faces = fam.face_vector(spec)
-    if c <= oracle_cap:
-        diag = fam.to_diagram(spec)
-        t_sh = spanning_tree_count(diag.shaded)
-        t_wh = spanning_tree_count(diag.white)
-        if not (t_sh == t_wh == d):
-            raise RuntimeError(
-                f"determinant mismatch for {spec}: closed form {d}, "
-                f"matrix-tree {t_sh}/{t_wh}"
-            )
-        if diag.faces != faces or diag.twist_count != t:
-            raise RuntimeError(
-                f"face data mismatch for {spec}: closed form {faces}, t={t}; "
-                f"diagram {diag.faces}, t={diag.twist_count}"
-            )
-    bounds = _bounds_for(spec, faces, t)
-    best = min(v for _, v in bounds)
-    margin = two_pi_log_det - best
+    bounds: list[tuple[str, float]] = []
+    best, margin, verdict = None, None, "vacuous"
+    if not cf.nonhyperbolic:
+        if c <= oracle_cap:
+            require_oracle_size(c)
+            diag = fam.to_diagram(spec)
+            t_sh = spanning_tree_count(diag.shaded)
+            t_wh = spanning_tree_count(diag.white)
+            if not (t_sh == t_wh == d):
+                raise RuntimeError(
+                    f"determinant mismatch for {spec}: closed form {d}, "
+                    f"matrix-tree {t_sh}/{t_wh}"
+                )
+            if diag.faces != cf.faces or diag.twist_count != t:
+                raise RuntimeError(
+                    f"face data mismatch for {spec}: closed form {cf.faces}, t={t}; "
+                    f"diagram {diag.faces}, t={diag.twist_count}"
+                )
+        r, s = cf.faces.two_largest()
+        bounds.append(("adams_exact", adams_bound_exact(cf.faces, r, s).value))
+        bounds.append(("adams_log", adams_bound_log(cf.faces, r, s).value))
+        bounds.append(("lackenby", lackenby_bound(t).value))
+        if isinstance(spec, Pretzel):
+            bounds.append(("montesinos", montesinos_bound(t).value))
+        best = min(v for _, v in bounds)
+        margin = two_pi_log_det - best
+        verdict = "holds" if margin > 0.0 else "bound_inconclusive"
     return BoundReport(
         spec=spec,
         det=d,
         two_pi_log_det=two_pi_log_det,
         bounds=bounds,
         best_bound=best,
-        hyperbolic_status="assumed_hyperbolic",
-        verdict=_verdict(margin),
+        hyperbolic_status="known_nonhyperbolic" if cf.nonhyperbolic else "assumed_hyperbolic",
+        verdict=verdict,
         margin=margin,
         twist_count=t,
         crossing_count=c,
+        reason=cf.nonhyperbolic,
     )
-
-
-def _bounds_for(spec: FamilySpec, faces: FaceVector, t: int) -> list[tuple[str, float]]:
-    bounds: list[tuple[str, float]] = []
-    r, s = faces.two_largest()
-    bounds.append(("adams_exact", adams_bound_exact(faces, r, s).value))
-    bounds.append(("adams_log", adams_bound_log(faces, r, s).value))
-    bounds.append(("lackenby", lackenby_bound(t).value))
-    if isinstance(spec, Pretzel):
-        bounds.append(("montesinos", montesinos_bound(t).value))
-    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +275,18 @@ def enumerate_pretzels(
 
         def process(tup: tuple[int, ...]) -> None:
             # explicit check of a sorted multiset, all arrangements
-            if fam.is_known_nonhyperbolic(Pretzel(tup))[0]:
+            if fam.closed_form(Pretzel(tup)).nonhyperbolic:
                 report.vacuous += 1
                 return
             if oracle_cap and sum(tup) <= oracle_cap:
+                require_oracle_size(sum(tup))
                 diag = fam.to_diagram(Pretzel(tup))
                 if spanning_tree_count(diag.shaded) != fam.pretzel_det(tup):
                     raise RuntimeError(f"determinant oracle mismatch at {tup}")
                 report.oracle_checked += 1
             for arr in canonical_arrangements(tup):
                 spec = Pretzel(arr)
-                if stoimenow_certificate(fam.detected_twist_count(spec), sum(arr), rule):
+                if stoimenow_certificate(fam.closed_form(spec).twist_count, sum(arr), rule):
                     report.certified_stoimenow += 1
                     continue
                 r = check(spec, oracle_cap=0)

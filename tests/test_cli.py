@@ -6,8 +6,14 @@ from decimal import Decimal
 
 import pytest
 
+from detvol import diagram, families
 from detvol.cli import main
 from detvol.families import weaving_det
+from detvol.verify import MAX_ORACLE_CROSSINGS
+
+
+def _no_diagram(*args):
+    raise AssertionError("diagram built above the oracle limit")
 
 
 def run(capsys, *argv):
@@ -52,6 +58,16 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: " + message)
         assert "Traceback" not in err
+
+    def test_over_oracle_limit_exit_1(self, capsys, monkeypatch):
+        c = MAX_ORACLE_CROSSINGS + 1
+        spec = f"R({c // 2},{c - c // 2})"
+        monkeypatch.setattr(families, "to_diagram", _no_diagram)
+        code, out, err = run(capsys, "--oracle-cap", "100000", "check", spec)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {c} crossings is over the diagram oracle's limit")
+        assert run(capsys, "check", spec)[0] == 0  # under the default cap, no oracle
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "check", "W(4)", "--format", "json")
@@ -152,6 +168,16 @@ class TestPd:
         code, out, _ = run(capsys, "pd", str(f))
         assert code == 0
         assert "twist regions 2" in out
+
+    def test_over_oracle_limit_exit_1(self, capsys, tmp_path, monkeypatch):
+        c = MAX_ORACLE_CROSSINGS + 1
+        f = tmp_path / "torus.pd"
+        f.write_text(diagram.format_pd_text(diagram.braid_closure_pd(2, [1] * c)))
+        monkeypatch.setattr(diagram, "analyze", _no_diagram)
+        code, out, err = run(capsys, "pd", str(f))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {c} crossings is over the diagram oracle's limit")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "pd", "/nonexistent/nope.pd")

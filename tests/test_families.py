@@ -13,7 +13,7 @@ from detvol.families import (
     ThreeBraid,
     TwoBridge,
     Weaving4,
-    is_known_nonhyperbolic,
+    closed_form,
     parse_spec,
     pretzel_det,
     threebraid_allones_det,
@@ -284,7 +284,7 @@ class TestDiagrams:
         assert d.twist_count == 5
 
     def test_structural_counts(self):
-        assert fam.crossing_count(Weaving4(5)) == 15
+        assert fam.closed_form(Weaving4(5)).crossing_count == 15
 
     def test_detected_equals_structural_for_generic(self):
         # entries >= 2 never merge twist regions
@@ -341,14 +341,16 @@ class TestDiagrams:
                 specs.append(family(tuple(a)))
         for spec in specs:
             d = to_diagram(spec)
-            assert fam.face_vector(spec) == d.faces, spec
-            assert fam.detected_twist_count(spec) == d.twist_count, spec
+            cf = fam.closed_form(spec)
+            assert cf.faces == d.faces, spec
+            assert cf.twist_count == d.twist_count, spec
+            assert cf.crossing_count == d.crossing_count, spec
 
     def test_closed_form_twist_merges(self):
         for text, t in [("R(1,1)", 1), ("R(1,2,1)", 1), ("R(1,1,1,1)", 2), ("W(2)", 4),
                         ("B(1,2,1,3)", 3), ("B(1,1,1,1)", 2), ("P(1,1,2)", 2),
                         ("P(2,3)", 1)]:
-            assert fam.detected_twist_count(parse_spec(text)) == t, text
+            assert fam.closed_form(parse_spec(text)).twist_count == t, text
 
     def test_weaving_face_vectors(self):
         for n in (5, 8):
@@ -373,7 +375,7 @@ class TestDiagrams:
             if len(a) % 2:
                 continue
             spec = ThreeBraid(tuple(zip(a[::2], a[1::2])))
-            if is_known_nonhyperbolic(spec)[0]:
+            if closed_form(spec).nonhyperbolic:
                 continue
             faces = to_diagram(spec).faces
             r, s = faces.two_largest()
@@ -420,29 +422,29 @@ class TestDiagrams:
 
 class TestNonHyperbolic:
     def test_two_bridge(self):
-        assert is_known_nonhyperbolic(TwoBridge((1, 1, 1)))[0]
-        assert is_known_nonhyperbolic(TwoBridge((1, 1)))[0]
-        assert is_known_nonhyperbolic(TwoBridge((7,)))[0]
-        assert not is_known_nonhyperbolic(TwoBridge((1, 1, 1, 1)))[0]
-        assert not is_known_nonhyperbolic(TwoBridge((1, 2, 1)))[0]
+        assert closed_form(TwoBridge((1, 1, 1))).nonhyperbolic
+        assert closed_form(TwoBridge((1, 1))).nonhyperbolic
+        assert closed_form(TwoBridge((7,))).nonhyperbolic
+        assert not closed_form(TwoBridge((1, 1, 1, 1))).nonhyperbolic
+        assert not closed_form(TwoBridge((1, 2, 1))).nonhyperbolic
 
     def test_three_braid(self):
-        assert is_known_nonhyperbolic(ThreeBraid(((1, 7),)))[0]
-        assert is_known_nonhyperbolic(ThreeBraid(((7, 1),)))[0]
-        assert is_known_nonhyperbolic(ThreeBraid(((1, 1),)))[0]
-        assert not is_known_nonhyperbolic(ThreeBraid(((2, 2),)))[0]
-        assert not is_known_nonhyperbolic(ThreeBraid(((1, 1), (1, 1))))[0]
+        assert closed_form(ThreeBraid(((1, 7),))).nonhyperbolic
+        assert closed_form(ThreeBraid(((7, 1),))).nonhyperbolic
+        assert closed_form(ThreeBraid(((1, 1),))).nonhyperbolic
+        assert not closed_form(ThreeBraid(((2, 2),))).nonhyperbolic
+        assert not closed_form(ThreeBraid(((1, 1), (1, 1)))).nonhyperbolic
 
     def test_pretzel(self):
-        assert is_known_nonhyperbolic(Pretzel((3,)))[0]
-        assert is_known_nonhyperbolic(Pretzel((2, 3)))[0]
-        assert is_known_nonhyperbolic(Pretzel((1, 1, 1, 1)))[0]
-        assert not is_known_nonhyperbolic(Pretzel((1, 1, 2)))[0]
-        assert not is_known_nonhyperbolic(Pretzel((2, 3, 7)))[0]
+        assert closed_form(Pretzel((3,))).nonhyperbolic
+        assert closed_form(Pretzel((2, 3))).nonhyperbolic
+        assert closed_form(Pretzel((1, 1, 1, 1))).nonhyperbolic
+        assert not closed_form(Pretzel((1, 1, 2))).nonhyperbolic
+        assert not closed_form(Pretzel((2, 3, 7))).nonhyperbolic
 
     def test_weaving(self):
-        assert is_known_nonhyperbolic(Weaving4(1))[0]
-        assert not is_known_nonhyperbolic(Weaving4(2))[0]
+        assert closed_form(Weaving4(1)).nonhyperbolic
+        assert not closed_form(Weaving4(2)).nonhyperbolic
 
 
 class TestSpecSyntax:

@@ -9,7 +9,7 @@ import sys
 import mpmath as mp
 import pytest
 
-from detvol.families import Weaving4, face_vector
+from detvol.families import Weaving4, closed_form
 from detvol.hypvol import (
     GAMMA,
     TWO_PI,
@@ -234,7 +234,7 @@ class TestAdamsBounds:
         # W(300000) sums 900,002 volumes and subtracts two, each claimed to
         # 1e-12; the two 300000-gons cancel, leaving 600000 vol(B_3) +
         # 300000 vol(B_4)
-        fv = face_vector(Weaving4(300000))
+        fv = closed_form(Weaving4(300000)).faces
         r, s = fv.two_largest()
         bound = adams_bound_exact(fv, r, s)
         assert bound.abs_err >= (fv.total_faces + 2) * 1e-12

@@ -83,7 +83,7 @@ class TestCheck:
 
         monkeypatch.setattr(families, "to_diagram", boom)
         for spec, want in zip(specs, expect):
-            got = check(spec, oracle_cap=families.crossing_count(spec) - 1)
+            got = check(spec, oracle_cap=families.closed_form(spec).crossing_count - 1)
             assert (got.det, got.bounds, got.twist_count, got.margin) == (
                 want.det, want.bounds, want.twist_count, want.margin)
         assert check(Weaving4(300000)).verdict == "holds"
@@ -91,14 +91,18 @@ class TestCheck:
             check(Pretzel((2, 3, 7)), oracle_cap=12)
 
     def test_wrong_face_data_under_cap_raises(self, monkeypatch):
-        real_faces, real_t = families.face_vector, families.detected_twist_count
-        monkeypatch.setattr(families, "face_vector",
-                            lambda s: FaceVector({**real_faces(s).counts, 50: 1}))
+        real = families.closed_form
+
+        def extra_face(s):
+            cf = real(s)
+            return cf._replace(faces=FaceVector({**cf.faces.counts, 50: 1}))
+
+        monkeypatch.setattr(families, "closed_form", extra_face)
         with pytest.raises(RuntimeError, match="face data mismatch"):
             check(Pretzel((2, 3, 7)))
         check(Pretzel((2, 3, 7)), oracle_cap=0)  # above the cap it is not checked
-        monkeypatch.setattr(families, "face_vector", real_faces)
-        monkeypatch.setattr(families, "detected_twist_count", lambda s: real_t(s) + 1)
+        monkeypatch.setattr(families, "closed_form",
+                            lambda s: real(s)._replace(twist_count=real(s).twist_count + 1))
         with pytest.raises(RuntimeError, match="face data mismatch"):
             check(TwoBridge((2, 3, 4)))
 
@@ -190,12 +194,13 @@ class TestPretzelClosedForms:
             arrangements.append(tuple(rng.randint(1, 5) for _ in range(n)))
         for arr in arrangements:
             d = to_diagram(Pretzel(arr))
-            assert families.face_vector(Pretzel(arr)) == d.faces, arr
-            assert families.detected_twist_count(Pretzel(arr)) == d.twist_count, arr
+            cf = families.closed_form(Pretzel(arr))
+            assert cf.faces == d.faces, arr
+            assert cf.twist_count == d.twist_count, arr
 
     def test_all_ones_detection(self):
-        assert families.detected_twist_count(Pretzel((1, 1, 1))) == 1
-        assert families.detected_twist_count(Pretzel((1, 1, 1, 1, 1))) == 1
+        assert families.closed_form(Pretzel((1, 1, 1))).twist_count == 1
+        assert families.closed_form(Pretzel((1, 1, 1, 1, 1))).twist_count == 1
 
 
 def _least_form(arr):
@@ -254,7 +259,7 @@ class TestEnumerate:
         # det >= 2 gamma^(t-1) for every hyperbolic pretzel that gets checked
         report = enumerate_pretzels(4)
         for arr in report.frontier[:50]:
-            t = families.detected_twist_count(Pretzel(arr))
+            t = families.closed_form(Pretzel(arr)).twist_count
             assert pretzel_det(arr) >= 2 * GAMMA.value ** (t - 1) - 1e-9
 
 
