@@ -66,8 +66,16 @@ def laplacian(g: Multigraph) -> list[list[int]]:
 
 
 def spanning_tree_count(g: Multigraph) -> int:
-    """Number of spanning trees: the Laplacian minor without vertex 0."""
-    return bareiss_det([row[1:] for row in laplacian(g)[1:]])
+    """Number of spanning trees: a principal minor of the Laplacian.
+
+    The minor drops a vertex of highest degree and orders the rest by
+    ascending degree, so elimination meets the sparse rows first.  The two
+    hubs of a weaving or pretzel Tait graph then create no fill: one is
+    dropped and the other is eliminated last.
+    """
+    L = laplacian(g)
+    order = sorted(range(g.vertex_count), key=lambda v: L[v][v])[:-1]
+    return bareiss_det([[L[i][j] for j in order] for i in order])
 
 
 def spanning_tree_count_bruteforce(g: Multigraph) -> int:
@@ -172,25 +180,3 @@ def spanning_tree_count_deletion_contraction(g: Multigraph) -> int:
         return without + mult * contracted
 
     return rec(g.vertex_count, list(g.edges))
-
-
-def parse_multigraph(text: str) -> Multigraph:
-    """Read the fixture format: first line vertex count, then one 'u v' per edge."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty multigraph text")
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return Multigraph(n, edges)
-
-
-def format_multigraph(g: Multigraph) -> str:
-    lines = [str(g.vertex_count)]
-    lines += [f"{u} {v}" for (u, v) in g.edges]
-    return "\n".join(lines) + "\n"

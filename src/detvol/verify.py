@@ -44,9 +44,12 @@ from .hypvol import (
 from .multigraph import spanning_tree_count
 
 DEFAULT_ORACLE_CAP = 40
-# The oracle's Bareiss elimination grows like c^3 big-integer steps in the
-# crossing number c, so a diagram above this limit is refused, whatever the
-# oracle cap: on two cores a 400-crossing oracle check takes 0.5-2.5 s.
+# A diagram above this limit is refused, whatever the oracle cap.  On two
+# cores a 400-crossing R, B, P or W oracle check takes 0.02-0.06 s, since
+# their Tait graphs leave the elimination almost no fill.  A Tait graph that
+# fills in costs more: a 14x15 grid graph (391 edges, so 391 crossings)
+# takes 0.2-0.3 s, and the worst case still grows like c^3 in the crossing
+# number c.
 MAX_ORACLE_CROSSINGS = 400
 
 

@@ -1,6 +1,7 @@
 """Determinant kernel: exact Bareiss elimination against a cofactor oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,3 +56,47 @@ def test_matches_cofactor_oracle():
 def test_rejects_ragged():
     with pytest.raises(ValueError):
         bareiss_det([[1, 2], [3]])
+
+
+def fraction_det(m):
+    """Gaussian elimination over the rationals; returns (det, row swaps)."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    det, swaps = Fraction(1), 0
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            return 0, swaps
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det, swaps = -det, swaps + 1
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return int(det), swaps
+
+
+def test_sparse_matches_fraction_oracle():
+    # sparse rows are skipped and catch up later, at a stage of their own;
+    # a row swap has to carry that stage along with the row
+    rng = random.Random(11)
+    swapped = singular = 0
+    for trial in range(300):
+        n = rng.randint(1, 16)
+        density = (0.1, 0.2, 0.3, 0.4, 0.5)[trial % 5]
+        m = [
+            [rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n >= 3 and trial % 7 == 0:
+            # a dependent row: singular, whatever the zero pattern
+            i, j, r = rng.sample(range(n), 3)
+            m[r] = [2 * x - y for x, y in zip(m[i], m[j])]
+        det, swaps = fraction_det(m)
+        swapped += det != 0 and swaps > 0
+        singular += det == 0
+        assert bareiss_det(m) == det
+    assert swapped >= 50 and singular >= 50

@@ -9,9 +9,7 @@ from detvol.multigraph import (
     Multigraph,
     contract,
     delete,
-    format_multigraph,
     laplacian,
-    parse_multigraph,
     spanning_tree_count,
     spanning_tree_count_bruteforce,
     spanning_tree_count_deletion_contraction,
@@ -95,6 +93,39 @@ class TestTreeCount:
             }
             assert vals == {spanning_tree_count(g)}
 
+    def test_wheel_lucas(self):
+        # tau(wheel with n rim vertices) = L(2n) - 2; the hub is the vertex
+        # of highest degree, at either end of the labels
+        lucas = [2, 1]
+        while len(lucas) <= 80:
+            lucas.append(lucas[-1] + lucas[-2])
+        for n in range(3, 41):
+            rim = [(i, (i + 1) % n) for i in range(n)]
+            hub_last = Multigraph(n + 1, rim + [(i, n) for i in range(n)])
+            hub_first = Multigraph(
+                n + 1, [(u + 1, v + 1) for (u, v) in rim] + [(0, i + 1) for i in range(n)]
+            )
+            assert spanning_tree_count(hub_last) == lucas[2 * n] - 2
+            assert spanning_tree_count(hub_first) == lucas[2 * n] - 2
+
+    def test_two_hubs_vs_deletion_contraction(self):
+        # theta graphs, the Tait graphs of pretzel links: paths between two
+        # vertices of highest degree, which may tie; paths of length 1 are
+        # parallel edges
+        rng = random.Random(5)
+        for _ in range(60):
+            lengths = [rng.randint(1, 3) for _ in range(rng.randint(2, 6))]
+            n = 2 + sum(l - 1 for l in lengths)
+            label = list(range(n))
+            rng.shuffle(label)
+            edges, nxt = [], 2
+            for l in lengths:
+                path = [0] + list(range(nxt, nxt + l - 1)) + [1]
+                nxt += l - 1
+                edges += [(label[a], label[b]) for a, b in zip(path, path[1:])]
+            g = Multigraph(n, edges)
+            assert spanning_tree_count(g) == spanning_tree_count_deletion_contraction(g)
+
     def test_relabel_invariance(self):
         rng = random.Random(2)
         for _ in range(30):
@@ -172,19 +203,3 @@ class TestDeleteContract:
         for _ in range(200):
             g = random_multigraph(rng)
             assert spanning_tree_count_deletion_contraction(g) == spanning_tree_count(g)
-
-
-class TestTextFormat:
-    def test_round_trip(self):
-        g = Multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)])
-        assert parse_multigraph(format_multigraph(g)) == g
-
-    def test_parse(self):
-        g = parse_multigraph("3\n0 1\n1 2\n2 0\n")
-        assert spanning_tree_count(g) == 3
-
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_multigraph("")
-        with pytest.raises(ValueError):
-            parse_multigraph("2\n0 1 2\n")
