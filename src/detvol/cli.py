@@ -140,7 +140,7 @@ def cmd_enumerate(args) -> int:
     )
     print(report.summary())
     for arr, margin in report.violations[:50]:
-        print(f"  VIOLATION P{arr}: margin {margin:.6g}")
+        print(f"  VIOLATION {fam.Pretzel(arr)}: margin {margin:.6g}")
     return 0 if not report.violations else 2
 
 

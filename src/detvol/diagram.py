@@ -362,7 +362,10 @@ def parse_pd_json(text: str) -> PDCode:
     """JSON alternative: an array of 4-element arrays of arc labels."""
     import json
 
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("PD JSON is nested too deeply") from None
     if not isinstance(data, list):
         raise ValueError("PD JSON must be an array of 4-tuples")
     for t in data:

@@ -204,15 +204,6 @@ def adams_bound_log(faces: FaceVector, r: int | None = None, s: int | None = Non
     return Real(v, 1e-9)
 
 
-def adams_bound_log_uncorrected(faces: FaceVector) -> Real:
-    """Same product bound without removing any face: 2*pi*log(prod n^b_n / 2^m)."""
-    if min(faces.counts) < 2:
-        raise ValueError("diagram has a monogon face; not reduced")
-    m = faces.total_faces
-    logp = math.fsum(b * math.log(n) for n, b in faces.counts.items())
-    return Real(TWO_PI * (logp - m * math.log(2.0)), 1e-9)
-
-
 def lackenby_bound(t: int) -> Real:
     """Twist-number volume bound 10*v4*(t-1)."""
     if t < 1:

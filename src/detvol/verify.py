@@ -11,7 +11,7 @@ link is hyperbolic; it never proves the conjecture false.  Verdicts:
 The pretzel enumeration reproduces the finite computer check: for a fixed
 number of twist regions t the Montesinos bound 2*v8*t is constant while the
 determinant grows monotonically in every twist count, so only the finitely
-many tuples below the passing frontier need an explicit ``check``.
+many tuples below the passing frontier need an explicit verdict.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -85,42 +86,48 @@ def require_oracle_size(c: int) -> None:
 def check(spec: FamilySpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> BoundReport:
     """Full report for one family member.
 
-    The determinant and the diagram data come from the family closed forms,
-    so a check costs O(len(spec)) big-integer steps and builds no diagram.
-    When the crossing number is at most ``oracle_cap`` the diagram is built
-    as the oracle: the determinant is cross-checked against matrix-tree
-    counts on both checkerboard graphs, and the face sizes and twist count
-    against the diagram's own traversal.  A known non-hyperbolic member is
-    ``vacuous``: it gets no bounds and no oracle.
+    The record (det, closed form) costs O(len(spec)) big-integer steps and
+    builds no diagram.  With at most ``oracle_cap`` crossings it also goes
+    through ``oracle_check``, unless the member is known non-hyperbolic.
     """
-    d = fam.det(spec)
-    cf = fam.closed_form(spec)
-    c, t = cf.crossing_count, cf.twist_count
+    d, cf = fam.det(spec), fam.closed_form(spec)
+    if not cf.nonhyperbolic and cf.crossing_count <= oracle_cap:
+        oracle_check(spec, d, cf)
+    return bound_report(spec, d, cf)
+
+
+def oracle_check(spec: FamilySpec, d: int, cf: fam.ClosedForm) -> None:
+    """Cross-check a record against the diagram of ``spec``.
+
+    The determinant must equal the matrix-tree counts of both checkerboard
+    graphs, and the face sizes and twist count the diagram's own traversal.
+    """
+    require_oracle_size(cf.crossing_count)
+    diag = fam.to_diagram(spec)
+    t_sh, t_wh = spanning_tree_count(diag.shaded), spanning_tree_count(diag.white)
+    if not (t_sh == t_wh == d):
+        raise RuntimeError(
+            f"determinant mismatch for {spec}: closed form {d}, matrix-tree {t_sh}/{t_wh}"
+        )
+    if diag.faces != cf.faces or diag.twist_count != cf.twist_count:
+        raise RuntimeError(
+            f"face data mismatch for {spec}: closed form {cf.faces}, t={cf.twist_count}; "
+            f"diagram {diag.faces}, t={diag.twist_count}"
+        )
+
+
+def bound_report(spec: FamilySpec, d: int, cf: fam.ClosedForm) -> BoundReport:
+    """Bounds, margin and verdict of a record; a non-hyperbolic one is vacuous."""
     two_pi_log_det = TWO_PI * math.log(d) if d >= 1 else float("-inf")
     bounds: list[tuple[str, float]] = []
     best, margin, verdict = None, None, "vacuous"
     if not cf.nonhyperbolic:
-        if c <= oracle_cap:
-            require_oracle_size(c)
-            diag = fam.to_diagram(spec)
-            t_sh = spanning_tree_count(diag.shaded)
-            t_wh = spanning_tree_count(diag.white)
-            if not (t_sh == t_wh == d):
-                raise RuntimeError(
-                    f"determinant mismatch for {spec}: closed form {d}, "
-                    f"matrix-tree {t_sh}/{t_wh}"
-                )
-            if diag.faces != cf.faces or diag.twist_count != t:
-                raise RuntimeError(
-                    f"face data mismatch for {spec}: closed form {cf.faces}, t={t}; "
-                    f"diagram {diag.faces}, t={diag.twist_count}"
-                )
         r, s = cf.faces.two_largest()
         bounds.append(("adams_exact", adams_bound_exact(cf.faces, r, s).value))
         bounds.append(("adams_log", adams_bound_log(cf.faces, r, s).value))
-        bounds.append(("lackenby", lackenby_bound(t).value))
+        bounds.append(("lackenby", lackenby_bound(cf.twist_count).value))
         if isinstance(spec, Pretzel):
-            bounds.append(("montesinos", montesinos_bound(t).value))
+            bounds.append(("montesinos", montesinos_bound(cf.twist_count).value))
         best = min(v for _, v in bounds)
         margin = two_pi_log_det - best
         verdict = "holds" if margin > 0.0 else "bound_inconclusive"
@@ -133,8 +140,8 @@ def check(spec: FamilySpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> BoundReport
         hyperbolic_status="known_nonhyperbolic" if cf.nonhyperbolic else "assumed_hyperbolic",
         verdict=verdict,
         margin=margin,
-        twist_count=t,
-        crossing_count=c,
+        twist_count=cf.twist_count,
+        crossing_count=cf.crossing_count,
         reason=cf.nonhyperbolic,
     )
 
@@ -158,8 +165,9 @@ def high_twist_threshold(t: int, rule: str = "general") -> ThresholdResult:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    # exp(bound / 2pi) is xi^(t-1) for the general rule, zeta^t for montesinos
-    thr = t + math.exp(_rule_bound(t, rule) / TWO_PI) - stoimenow_lower_bound(t).value
+    # exp(x) is xi^(t-1) (general) or zeta^t (montesinos); inf past the float range
+    x = _rule_bound(t, rule) / TWO_PI
+    thr = t + (math.exp(x) if x < 709.78 else math.inf) - stoimenow_lower_bound(t).value
     return ThresholdResult(t=t, c_threshold=thr, rule=rule)
 
 
@@ -175,15 +183,12 @@ def stoimenow_certificate(t: int, c: int, rule: str = "general") -> bool:
     """True when the (t, c) data alone certifies the conjecture.
 
     Any alternating link with t twist regions and c crossings has
-    det >= 2*gamma^(t-1) + c - t; if the rule's volume bound is below
-    2*pi*log of that, no diagram needs to be examined.
+    det >= 2*gamma^(t-1) + c - t; past the rule's crossing threshold the
+    volume bound is below 2*pi*log of that, and no diagram is examined.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
     if c < t:
         raise ValueError("c must be >= t")
-    det_floor = stoimenow_lower_bound(t).value + c - t
-    return _rule_bound(t, rule) < TWO_PI * math.log(det_floor)
+    return c > high_twist_threshold(t, rule).c_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +263,11 @@ def enumerate_pretzels(
     symmetric).  Once 2*pi*log(det) exceeds the rule's volume bound for n
     twist regions at a tuple, every coordinatewise-larger tuple passes too
     (the actual twist count never exceeds n), so only the multisets below the
-    minimal frontier are visited.  Each of those is expanded into its
-    distinct cyclic arrangements, since face sizes and twist counts depend on
-    the cyclic order; an arrangement that the Stoimenow certificate does not
-    already settle gets its verdict and margin from ``check``.
+    minimal frontier are visited.  Each of those goes through
+    ``oracle_check`` once when it is under the oracle cap, and is expanded
+    into its distinct cyclic arrangements, since face sizes and twist counts
+    depend on the cyclic order; an arrangement that the Stoimenow certificate
+    does not already settle gets its verdict and margin from ``bound_report``.
     """
     if t_max < 3:
         raise ValueError("t_max must be >= 3 (smaller pretzels are 2-bridge)")
@@ -273,26 +279,23 @@ def enumerate_pretzels(
     for n in range(t_min, t_max + 1):
         log_threshold = _rule_bound(n, rule) / TWO_PI  # det above e^this certifies
 
-        def certified(tup: tuple[int, ...]) -> bool:
-            return math.log(fam.pretzel_det(tup)) > log_threshold + 1e-12
-
-        def process(tup: tuple[int, ...]) -> None:
-            # explicit check of a sorted multiset, all arrangements
-            if fam.closed_form(Pretzel(tup)).nonhyperbolic:
+        def process(tup: tuple[int, ...], d: int) -> None:
+            # explicit check of a sorted multiset of determinant d, all arrangements
+            spec = Pretzel(tup)
+            cf = fam.closed_form(spec)
+            if cf.nonhyperbolic:
                 report.vacuous += 1
                 return
-            if oracle_cap and sum(tup) <= oracle_cap:
-                require_oracle_size(sum(tup))
-                diag = fam.to_diagram(Pretzel(tup))
-                if spanning_tree_count(diag.shaded) != fam.pretzel_det(tup):
-                    raise RuntimeError(f"determinant oracle mismatch at {tup}")
+            if cf.crossing_count <= oracle_cap:
+                oracle_check(spec, d, cf)
                 report.oracle_checked += 1
             for arr in canonical_arrangements(tup):
                 spec = Pretzel(arr)
-                if stoimenow_certificate(fam.closed_form(spec).twist_count, sum(arr), rule):
+                cf = fam.closed_form(spec)
+                if stoimenow_certificate(cf.twist_count, sum(arr), rule):
                     report.certified_stoimenow += 1
                     continue
-                r = check(spec, oracle_cap=0)
+                r = bound_report(spec, d, cf)
                 report.checked += 1
                 if r.verdict != "holds":
                     report.violations.append((arr, r.margin))
@@ -302,13 +305,14 @@ def enumerate_pretzels(
             v = min_val
             while True:
                 corner = tuple(prefix) + (v,) * (n - pos)
-                if certified(corner):
+                d = fam.pretzel_det(corner)
+                if math.log(d) > log_threshold + 1e-12:
                     report.certified_monotone += 1
                     if len(report.frontier) < FRONTIER_LIMIT:
                         report.frontier.append(corner)
                     return
                 if pos == n - 1:
-                    process(tuple(prefix) + (v,))
+                    process(corner, d)
                 else:
                     prefix.append(v)
                     rec(prefix, v)
@@ -390,6 +394,7 @@ def sweep(
     """One BoundReport per family member, in deterministic spec order."""
     specs = sweep_specs(family, sum_max)
     check_one = functools.partial(check, oracle_cap=oracle_cap)
+    workers = min(workers, os.cpu_count() or 1)  # more would only contend
     if workers > 1 and len(specs) > 64:
         import multiprocessing
 

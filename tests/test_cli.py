@@ -1,12 +1,13 @@
 """CLI surface: exit codes, formats, and the pd subcommand."""
 
+import dataclasses
 import json
 import sys
 from decimal import Decimal
 
 import pytest
 
-from detvol import diagram, families
+from detvol import diagram, families, verify
 from detvol.cli import main
 from detvol.families import weaving_det
 from detvol.verify import MAX_ORACLE_CROSSINGS
@@ -122,6 +123,28 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--t-max", "2")
         assert code == 1
 
+    def test_violation_line_pastes_into_check(self, capsys, monkeypatch):
+        real_bound_report = verify.bound_report
+        calls = []
+
+        def fake_bound_report(spec, d, cf):
+            calls.append(spec)
+            r = real_bound_report(spec, d, cf)
+            if len(calls) == 1:
+                r = dataclasses.replace(r, verdict="bound_inconclusive", margin=-0.5)
+            return r
+
+        monkeypatch.setattr(verify, "bound_report", fake_bound_report)
+        code, out, _ = run(capsys, "enumerate", "--t-max", "3")
+        monkeypatch.undo()
+        assert code == 2
+        [line] = [s for s in out.splitlines() if "VIOLATION" in s]
+        assert line == f"  VIOLATION {calls[0]}: margin -0.5"
+        spec_text = line.split()[1].rstrip(":")
+        code, out, _ = run(capsys, "check", spec_text)
+        assert code == 0
+        assert f"spec              {calls[0]}" in out
+
 
 class TestSweep:
     def test_csv(self, capsys):
@@ -192,8 +215,9 @@ class TestPd:
             ("float.json", "[[0, 0, 1, 1.7]]"),
             ("bool.json", "[[0, 0, 1, true]]"),
             ("short.json", "[[0, 0, 1]]"),
+            ("deep.json", "[" * 200_000),
         ],
-        ids=["text", "flat", "null", "float", "bool", "short"],
+        ids=["text", "flat", "null", "float", "bool", "short", "deep"],
     )
     def test_malformed(self, capsys, tmp_path, name, text):
         f = tmp_path / name

@@ -20,7 +20,6 @@ from detvol.hypvol import (
     FaceVector,
     adams_bound_exact,
     adams_bound_log,
-    adams_bound_log_uncorrected,
     bipyramid_volume,
     constants,
     lackenby_bound,
@@ -252,15 +251,6 @@ class TestAdamsBounds:
     def test_log_all_bigon_interior(self):
         for k in (1, 3, 7):
             assert abs(adams_bound_log(FaceVector({2: k, 3: 2})).value) < 1e-12
-
-    def test_log_uncorrected_weaving(self):
-        for n in (1, 2, 5):
-            v = adams_bound_log_uncorrected(FaceVector({3: 2 * n, 4: n})).value
-            assert abs(v - TWO_PI * n * math.log(9 / 2)) < 1e-11
-
-    def test_log_corrected_below_uncorrected(self):
-        fv = FaceVector({2: 3, 3: 2, 4: 1, 5: 2})
-        assert adams_bound_log(fv).value < adams_bound_log_uncorrected(fv).value
 
     def test_exact_below_log_same_faces(self):
         # strict whenever a face of size >= 3 survives the removal

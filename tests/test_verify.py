@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import sys
 
@@ -175,6 +176,11 @@ class TestStoimenowCertificate:
                 2 * GAMMA.value ** (t - 1) + c - t
             )
 
+    def test_past_float_range(self):
+        # the threshold outgrows a float long before the determinant floor
+        assert high_twist_threshold(500, "general").c_threshold == math.inf
+        assert not stoimenow_certificate(500, 600, "general")
+
     def test_rejects(self):
         with pytest.raises(ValueError):
             stoimenow_certificate(0, 1)
@@ -218,21 +224,52 @@ def test_canonical_arrangements_match_brute_force():
 class TestEnumerate:
     def test_violation_path(self, monkeypatch):
         # the first checked arrangement is reported inconclusive; the report
-        # must carry it with the margin that check gave
-        real_check = verify.check
+        # must carry it with the margin that bound_report gave
+        real_bound_report = verify.bound_report
         checked = []
 
-        def fake_check(spec, oracle_cap):
-            r = real_check(spec, oracle_cap=oracle_cap)
+        def fake_bound_report(spec, d, cf):
+            r = real_bound_report(spec, d, cf)
             checked.append(spec.a)
             if len(checked) == 1:
                 r = dataclasses.replace(r, verdict="bound_inconclusive", margin=-0.5)
             return r
 
-        monkeypatch.setattr(verify, "check", fake_check)
+        monkeypatch.setattr(verify, "bound_report", fake_bound_report)
         report = enumerate_pretzels(3)
         assert report.violations == [(checked[0], -0.5)]
         assert report.checked == len(checked) > 1
+
+    def test_oracle_checks_face_data(self, monkeypatch):
+        # a wrong twist count on a multiset under the cap is caught, although
+        # its determinant is right
+        real_closed_form = families.closed_form
+
+        def wrong_closed_form(spec):
+            cf = real_closed_form(spec)
+            if spec == Pretzel((1, 2, 3)):
+                cf = cf._replace(twist_count=cf.twist_count + 1)
+            return cf
+
+        monkeypatch.setattr(families, "closed_form", wrong_closed_form)
+        with pytest.raises(RuntimeError, match=r"face data mismatch for P\(1,2,3\)"):
+            enumerate_pretzels(3)
+
+    def test_margins_match_check(self, monkeypatch):
+        real_bound_report = verify.bound_report
+        seen = []
+
+        def spy(spec, d, cf):
+            r = real_bound_report(spec, d, cf)
+            seen.append((spec, r.margin))
+            return r
+
+        monkeypatch.setattr(verify, "bound_report", spy)
+        enumerate_pretzels(5)
+        monkeypatch.undo()
+        assert len(seen) > 1000
+        for spec, margin in seen:
+            assert margin == check(spec, oracle_cap=0).margin, spec
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):
@@ -296,6 +333,33 @@ class TestSweep:
         parallel = sweep("R", 8, oracle_cap=0, workers=2)
         assert [str(r.spec) for r in serial] == [str(r.spec) for r in parallel]
         assert [r.det for r in serial] == [r.det for r in parallel]
+
+    def test_worker_pool_capped_at_cpu_count(self, monkeypatch):
+        # a stand-in pool records its size and maps in this process, so no
+        # worker is ever started
+        import multiprocessing
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return [fn(x) for x in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        reports = sweep("R", 7, oracle_cap=0, workers=100_000)
+        assert sizes == [3]
+        serial = sweep("R", 7, oracle_cap=0, workers=1)
+        assert reports_to_csv(reports) == reports_to_csv(serial)
 
     def test_stoimenow_consistency(self):
         for family, cap in (("B", 8), ("R", 8), ("P", 8)):
