@@ -18,6 +18,7 @@ plane multigraph).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .hypvol import FaceVector
@@ -25,37 +26,55 @@ from .multigraph import Multigraph
 
 
 class PDCode:
-    """A 4-valent plane map: list of crossings, each a ccw 4-tuple of arcs."""
+    """A 4-valent plane map: ccw 4-tuples of arcs, paired, colored and traversed when built."""
 
-    __slots__ = ("crossings", "_partner")
+    __slots__ = ("crossings", "_partner", "_flip", "_orbits")
 
     def __init__(self, crossings):
-        self.crossings = [tuple(int(a) for a in t) for t in crossings]
+        self.crossings = [tuple(map(int, t)) for t in crossings]
         if not self.crossings:
             raise ValueError("PD code needs at least one crossing")
         for t in self.crossings:
             if len(t) != 4:
                 raise ValueError(f"crossing {t} does not have 4 slots")
-        where: dict[int, list[int]] = {}
-        for d, a in enumerate(x for t in self.crossings for x in t):
-            where.setdefault(a, []).append(d)
-        bad = {a: len(ds) for a, ds in where.items() if len(ds) != 2}
-        if bad:
+        labels = [a for t in self.crossings for a in t]
+        self._partner = partner = [-1] * len(labels)
+        first: dict[int, int] = {}  # label -> its first dart
+        for d, a in enumerate(labels):
+            e = first.setdefault(a, d)
+            if e != d:
+                partner[d], partner[e] = e, d
+        # 4n darts, 2n labels and no label seen once: each is seen exactly twice
+        if 2 * len(first) != len(labels) or -1 in partner:
+            bad = {a: k for a, k in Counter(labels).items() if k != 2}  # first-seen order
             raise ValueError(f"arcs must appear exactly twice; offenders: {bad}")
-        self._partner = [0] * (4 * len(self.crossings))
-        for d1, d2 in where.values():
-            self._partner[d1] = d2
-            self._partner[d2] = d1
+        self._orbits: list[list[int]] | None = None
         self._validate()
 
     def _validate(self) -> None:
-        orbits = self.face_orbits()
+        partner = self.partner()
         n = len(self.crossings)
-        # every arc lies on a face, so faces join crossings exactly as arcs do
-        if _classes(n, orbits) != 1:
+        # The face leaving dart d gets color (d + flip[d // 4]) % 2, so corner
+        # colors alternate around every crossing.  The face leaving d also leaves
+        # the dart after its partner p, which fixes flip[p // 4]; flip[0] = 1
+        # makes the face of dart 1 white (0).  The search reaches every crossing
+        # exactly when the map is connected; on a sphere map it never disagrees.
+        flip = [-1] * n
+        flip[0] = 1
+        stack = [0]
+        while stack:
+            ci = stack.pop()
+            for d in range(4 * ci, 4 * ci + 4):
+                p = partner[d]
+                cj = p // 4
+                if flip[cj] == -1:
+                    flip[cj] = (flip[ci] + d - p - 1) % 2
+                    stack.append(cj)
+        if -1 in flip:
             raise ValueError("diagram is not connected")
+        self._flip = flip
         # planarity: Euler characteristic of the map must be 2
-        if len(orbits) != n + 2:
+        if len(self.face_orbits()) != n + 2:
             raise ValueError("face traversal does not close up to a sphere map")
 
     @property
@@ -71,8 +90,13 @@ class PDCode:
         return self._partner
 
     def face_orbits(self) -> list[list[int]]:
-        """Faces as dart cycles of the map (next = rotate the partner dart)."""
+        """Faces as dart cycles of the map (next = rotate the partner dart).
+
+        The list is the code's own, traversed once when built; callers must not change it.
+        """
         partner = self.partner()
+        if self._orbits is not None:
+            return self._orbits
         faces: list[list[int]] = []
         seen = [False] * len(partner)
         for start in range(len(partner)):
@@ -86,6 +110,7 @@ class PDCode:
                 p = partner[d]
                 d = p - 3 if p % 4 == 3 else p + 1
             faces.append(face)
+        self._orbits = faces
         return faces
 
 
@@ -110,10 +135,7 @@ def _classes(n: int, groups) -> int:
 
 def faces(pd: PDCode) -> FaceVector:
     """Face-size multiset of the diagram."""
-    counts: dict[int, int] = {}
-    for f in pd.face_orbits():
-        counts[len(f)] = counts.get(len(f), 0) + 1
-    return FaceVector(counts)
+    return FaceVector(Counter(map(len, pd.face_orbits())))
 
 
 def checkerboard_graphs(pd: PDCode) -> tuple[Multigraph, Multigraph]:
@@ -124,26 +146,8 @@ def checkerboard_graphs(pd: PDCode) -> tuple[Multigraph, Multigraph]:
     containing dart 1 (crossing 0, slot 1).
     """
     orbits = pd.face_orbits()
-    partner = pd.partner()
+    flip = pd._flip
     n = pd.crossing_count
-    # The face leaving dart d gets color (d + flip[d // 4]) % 2, so corner
-    # colors alternate around every crossing.  The face leaving d also leaves
-    # the dart after its partner p, which fixes flip[p // 4]; flip[0] = 1
-    # makes the face of dart 1 white (0).
-    flip = [-1] * n
-    flip[0] = 1
-    stack = [0]
-    while stack:
-        ci = stack.pop()
-        for d in range(4 * ci, 4 * ci + 4):
-            p = partner[d]
-            cj = p // 4
-            f = (flip[ci] + d - p - 1) % 2
-            # a connected map on the sphere (which PDCode checked) is always
-            # 2-colourable, so a crossing reached again agrees with f
-            if flip[cj] == -1:
-                flip[cj] = f
-                stack.append(cj)
     vertex = [0] * (4 * n)  # dart -> its face's number within its color
     sizes = [0, 0]
     for f in orbits:
@@ -228,7 +232,8 @@ def _closed(crossings, joins) -> PDCode:
         fx, fy = find(x), find(y)
         if fx != fy:
             ident[fx] = fy
-    return PDCode([tuple(find(a) for a in t) for t in crossings])
+    g = {x: find(x) for x in ident}.get
+    return PDCode([(g(a, a), g(b, b), g(c, c), g(d, d)) for a, b, c, d in crossings])
 
 
 def braid_closure_pd(strands: int, word: list[int]) -> PDCode:
@@ -270,10 +275,6 @@ class PlaneGraph:
         if darts != [(eid, end) for eid in range(len(self.edges)) for end in (0, 1)]:
             raise ValueError("rotation system does not list each dart exactly once")
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.rotations)
-
 
 def medial_pd(g: PlaneGraph) -> PDCode:
     """Alternating-diagram map whose checkerboard graph is ``g``.
@@ -282,25 +283,19 @@ def medial_pd(g: PlaneGraph) -> PDCode:
     a rotation) becomes an arc.  This is the medial construction: vertices
     of g become faces of one color, faces of g the other.
     """
-    pos: dict[tuple[int, int], tuple[int, int]] = {}
-    for v, rot in enumerate(g.rotations):
+    # corner p of vertex v (between darts p - 1 and p) is arc base(v) + p
+    corners: dict[tuple[int, int], tuple[int, int]] = {}  # dart -> corners before, at
+    base = 0
+    for rot in g.rotations:
+        k = len(rot)
         for p, d in enumerate(rot):
-            pos[d] = (v, p)
-    arc_ids: dict[tuple[int, int], int] = {}
-
-    def corner(v: int, p: int) -> int:
-        key = (v, p % len(g.rotations[v]))
-        if key not in arc_ids:
-            arc_ids[key] = len(arc_ids)
-        return arc_ids[key]
-
+            corners[d] = (base + (p - 1) % k, base + p)
+        base += k
     crossings = []
     for eid in range(len(g.edges)):
-        vu, pu = pos[(eid, 0)]
-        vw, pw = pos[(eid, 1)]
-        crossings.append(
-            (corner(vw, pw - 1), corner(vu, pu), corner(vu, pu - 1), corner(vw, pw))
-        )
+        u_before, u_at = corners[(eid, 0)]
+        w_before, w_at = corners[(eid, 1)]
+        crossings.append((w_before, u_at, u_before, w_at))
     return PDCode(crossings)
 
 
@@ -377,6 +372,3 @@ def parse_pd_json(text: str) -> PDCode:
             raise ValueError(f"PD crossing must be an array of 4 integers: {t!r}")
     return PDCode([tuple(t) for t in data])
 
-
-def format_pd_text(pd: PDCode) -> str:
-    return "\n".join("X " + " ".join(map(str, t)) for t in pd.crossings) + "\n"

@@ -219,10 +219,13 @@ def montesinos_bound(t: int) -> Real:
 
 
 def stoimenow_lower_bound(t: int) -> Real:
-    """Determinant lower bound 2*gamma^(t-1) for t twist regions."""
+    """Determinant lower bound 2*gamma^(t-1) for t twist regions; inf past the float range."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return Real(2.0 * GAMMA.value ** (t - 1), 1e-9)
+    try:
+        return Real(2.0 * GAMMA.value ** (t - 1), 1e-9)
+    except OverflowError:
+        return Real(math.inf, 1e-9)
 
 
 def _gamma_root() -> float:

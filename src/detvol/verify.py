@@ -165,9 +165,9 @@ def high_twist_threshold(t: int, rule: str = "general") -> ThresholdResult:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    # exp(x) is xi^(t-1) (general) or zeta^t (montesinos); inf past the float range
+    # exp(x), xi^(t-1) or zeta^t, outgrows 2*gamma^(t-1): inf past the float range
     x = _rule_bound(t, rule) / TWO_PI
-    thr = t + (math.exp(x) if x < 709.78 else math.inf) - stoimenow_lower_bound(t).value
+    thr = t + math.exp(x) - stoimenow_lower_bound(t).value if x < 709.78 else math.inf
     return ThresholdResult(t=t, c_threshold=thr, rule=rule)
 
 
@@ -249,6 +249,8 @@ class EnumerationReport:
 
 # enumerate_pretzels keeps at most this many frontier corners in its report
 FRONTIER_LIMIT = 10000
+# largest t_max enumerate_pretzels accepts; its search recurses once per twist region
+MAX_ENUMERATION_T = 200
 
 
 def enumerate_pretzels(
@@ -273,6 +275,8 @@ def enumerate_pretzels(
         raise ValueError("t_max must be >= 3 (smaller pretzels are 2-bridge)")
     if t_min < 3 or t_min > t_max:
         raise ValueError("need 3 <= t_min <= t_max")
+    if t_max > MAX_ENUMERATION_T:
+        raise ValueError(f"t_max must be <= {MAX_ENUMERATION_T}")
     report = EnumerationReport(t_min=t_min, t_max=t_max)
     start = time.perf_counter()
 

@@ -11,6 +11,7 @@ from detvol import diagram, families, verify
 from detvol.cli import main
 from detvol.families import weaving_det
 from detvol.verify import MAX_ORACLE_CROSSINGS
+from pdtext import format_pd_text
 
 
 def _no_diagram(*args):
@@ -123,6 +124,14 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--t-max", "2")
         assert code == 1
 
+    def test_t_max_over_limit(self, capsys):
+        # the search recurses once per twist region; this t_max would overflow it
+        t = verify.MAX_ENUMERATION_T + 900
+        code, out, err = run(capsys, "enumerate", "--t-min", str(t), "--t-max", str(t))
+        assert code == 1
+        assert out == ""
+        assert f"error: t_max must be <= {verify.MAX_ENUMERATION_T}" in err
+
     def test_violation_line_pastes_into_check(self, capsys, monkeypatch):
         real_bound_report = verify.bound_report
         calls = []
@@ -195,7 +204,7 @@ class TestPd:
     def test_over_oracle_limit_exit_1(self, capsys, tmp_path, monkeypatch):
         c = MAX_ORACLE_CROSSINGS + 1
         f = tmp_path / "torus.pd"
-        f.write_text(diagram.format_pd_text(diagram.braid_closure_pd(2, [1] * c)))
+        f.write_text(format_pd_text(diagram.braid_closure_pd(2, [1] * c)))
         monkeypatch.setattr(diagram, "analyze", _no_diagram)
         code, out, err = run(capsys, "pd", str(f))
         assert code == 1

@@ -12,7 +12,6 @@ from detvol.diagram import (
     bundle_plane_graph,
     checkerboard_graphs,
     faces,
-    format_pd_text,
     medial_pd,
     necklace_plane_graph,
     parse_pd_json,
@@ -20,8 +19,10 @@ from detvol.diagram import (
     plat_closure_pd,
     twist_regions,
 )
-from detvol.families import ThreeBraid, TwoBridge, to_diagram
+from detvol.families import ThreeBraid, TwoBridge, Weaving4, to_diagram
 from detvol.multigraph import spanning_tree_count
+from detvol.verify import sweep_specs
+from pdtext import format_pd_text
 
 # standard PD codes (slot order is a ccw cycle; over/under ignored):
 # the 3-crossing trefoil diagram and the 4-crossing figure-eight diagram
@@ -35,6 +36,9 @@ class TestPDValidation:
             PDCode([(1, 1, 1, 1)])
         with pytest.raises(ValueError, match=r"offenders: \{1: 1, 2: 1, 3: 1, 4: 1\}"):
             PDCode([(1, 2, 3, 4)])
+        # offenders in order of first appearance: 7 thrice, then 5 once
+        with pytest.raises(ValueError, match=r"offenders: \{7: 3, 5: 1\}$"):
+            PDCode([(0, 7, 1, 7), (0, 5, 1, 7)])
 
     def test_disconnected(self):
         # two disjoint kinked unknots
@@ -74,6 +78,10 @@ class TestDarts:
         assert PDCode(FIG8_PD).face_orbits() == [
             [0, 8], [1, 12, 11], [2, 5, 15], [3, 9, 4], [6, 14], [7, 10, 13],
         ]
+
+    def test_orbits_traversed_once(self):
+        pd = PDCode(FIG8_PD)
+        assert pd.face_orbits() is pd.face_orbits()
 
     def test_random_codes(self):
         # random pairings of the 4n slots into arcs; keep the valid maps
@@ -260,3 +268,94 @@ class TestPDFormats:
         assert diag.crossing_count == 4
         assert diag.twist_count == 2
         assert diag.faces == {2: 2, 3: 4}
+
+
+def _reference_analysis(crossings):
+    """Faces, twist count and Tait graphs by independent per-call traversals."""
+    n = len(crossings)
+    where = {}
+    for d, a in enumerate(x for t in crossings for x in t):
+        where.setdefault(a, []).append(d)
+    partner = [0] * (4 * n)
+    for d1, d2 in where.values():
+        partner[d1], partner[d2] = d2, d1
+
+    def face_orbits():
+        orbits, seen = [], [False] * (4 * n)
+        for start in range(4 * n):
+            face, d = [], start
+            while not seen[d]:
+                face.append(d)
+                seen[d] = True
+                d = 4 * (partner[d] // 4) + (partner[d] + 1) % 4
+            if face:
+                orbits.append(face)
+        return orbits
+
+    def classes(groups):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for group in groups:
+            for d in group[1:]:
+                parent[find(d // 4)] = find(group[0] // 4)
+        return sum(parent[i] == i for i in range(n))
+
+    assert classes(face_orbits()) == 1
+    sizes = {}
+    for f in face_orbits():
+        sizes[len(f)] = sizes.get(len(f), 0) + 1
+    twist = classes([f for f in face_orbits() if len(f) == 2])
+    flip = [-1] * n
+    flip[0] = 1
+    stack = [0]
+    while stack:
+        ci = stack.pop()
+        for d in range(4 * ci, 4 * ci + 4):
+            cj = partner[d] // 4
+            if flip[cj] == -1:
+                flip[cj] = (flip[ci] + d - partner[d] - 1) % 2
+                stack.append(cj)
+    vertex, count = [0] * (4 * n), [0, 0]
+    for f in face_orbits():
+        color = (f[0] + flip[f[0] // 4]) % 2
+        for d in f:
+            vertex[d] = count[color]
+        count[color] += 1
+    edges = ([], [])
+    for ci in range(n):
+        for color in (0, 1):
+            s = 2 - (color + flip[ci]) % 2
+            edges[color].append((vertex[4 * ci + s], vertex[4 * ci + (s + 2) % 4]))
+    return sizes, twist, (count[1], edges[1]), (count[0], edges[0])
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        pytest.param(lambda: sweep_specs("R", 10), id="R<=10"),
+        pytest.param(lambda: sweep_specs("B", 10), id="B<=10"),
+        pytest.param(lambda: sweep_specs("P", 9), id="P<=9"),
+        pytest.param(lambda: [Weaving4(n) for n in range(1, 61)], id="W<=60"),
+    ],
+)
+def test_analyze_matches_reference(specs):
+    for spec in specs():
+        diag = to_diagram(spec)
+        sizes, twist, shaded, white = _reference_analysis(diag.pd.crossings)
+        assert diag.faces == sizes, spec
+        assert diag.twist_count == twist, spec
+        assert (diag.shaded.vertex_count, diag.shaded.edges) == shaded, spec
+        assert (diag.white.vertex_count, diag.white.edges) == white, spec
+
+
+def test_analyze_figure_eight_matches_reference():
+    diag = analyze(PDCode(FIG8_PD))
+    sizes, twist, shaded, white = _reference_analysis(FIG8_PD)
+    assert (diag.faces, diag.twist_count) == (sizes, twist)
+    assert (diag.shaded.vertex_count, diag.shaded.edges) == shaded
+    assert (diag.white.vertex_count, diag.white.edges) == white

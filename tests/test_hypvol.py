@@ -290,5 +290,7 @@ class TestTwistBounds:
         assert abs(stoimenow_lower_bound(2).value - 2 * GAMMA.value) < 1e-12
         assert abs(stoimenow_lower_bound(6).value - 2 * GAMMA.value ** 5) < 1e-9
         assert abs(stoimenow_lower_bound(6).value - 11.77) < 0.01
+        assert stoimenow_lower_bound(2000).value < math.inf
+        assert stoimenow_lower_bound(2100).value == math.inf
         with pytest.raises(ValueError):
             stoimenow_lower_bound(0)

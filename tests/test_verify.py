@@ -180,6 +180,11 @@ class TestStoimenowCertificate:
         # the threshold outgrows a float long before the determinant floor
         assert high_twist_threshold(500, "general").c_threshold == math.inf
         assert not stoimenow_certificate(500, 600, "general")
+        # past about t = 2,100 the determinant floor overflows too
+        for t in (2100, 5000):
+            for rule in ("general", "montesinos"):
+                assert high_twist_threshold(t, rule).c_threshold == math.inf
+                assert not stoimenow_certificate(t, t + 10, rule)
 
     def test_rejects(self):
         with pytest.raises(ValueError):
