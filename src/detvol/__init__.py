@@ -27,7 +27,6 @@ from .hypvol import (
     adams_bound_exact,
     adams_bound_log,
     bipyramid_volume,
-    constants,
     lackenby_bound,
     lobachevsky,
     montesinos_bound,
@@ -67,7 +66,6 @@ __all__ = [
     "adams_bound_log",
     "bipyramid_volume",
     "check",
-    "constants",
     "contract",
     "delete",
     "enumerate_pretzels",

@@ -19,7 +19,7 @@ from decimal import Decimal
 from . import diagram as dgm
 from . import families as fam
 from . import verify
-from .hypvol import bipyramid_volume, constants
+from .hypvol import GAMMA, V4, V8, XI, ZETA, bipyramid_volume
 from .multigraph import spanning_tree_count
 
 
@@ -90,7 +90,7 @@ def _print_report(r: verify.BoundReport, args) -> None:
     print(f"twist regions     {r.twist_count}")
     print(f"det               {Decimal(r.det)}")
     print(f"2*pi*log(det)     {_fmt(r.two_pi_log_det, d)}")
-    for name, value in r.bounds:
+    for name, value in r.bounds.items():
         print(f"bound {name:<12} {_fmt(value, d)}")
     print(f"best bound        {_fmt(r.best_bound, d)}")
     print(f"margin            {_fmt(r.margin, d)}")
@@ -106,14 +106,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    k = constants()
     d = args.precision
     rows = [
-        ("v4", k.v4.value, "1.01494"),
-        ("v8", k.v8.value, "3.66386237"),
-        ("gamma", k.gamma.value, "1.4253"),
-        ("xi", k.xi.value, "5.0296"),
-        ("zeta", k.zeta.value, "3.2099"),
+        ("v4", V4.value, "1.01494"),
+        ("v8", V8.value, "3.66386237"),
+        ("gamma", GAMMA.value, "1.4253"),
+        ("xi", XI.value, "5.0296"),
+        ("zeta", ZETA.value, "3.2099"),
     ]
     print(f"{'name':<8}{'value':<22}reference")
     for name, value, ref in rows:
@@ -126,7 +125,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.t_max > 8:
+    if 8 < args.t_max <= verify.MAX_ENUMERATION_T:
         print(
             f"warning: t-max={args.t_max} explores a large frontier; "
             "expect a long run",
@@ -175,7 +174,7 @@ def cmd_pd(args) -> int:
         pd = dgm.parse_pd_text(text)
     verify.require_oracle_size(pd.crossing_count)
     diag = dgm.analyze(pd)
-    print(f"crossings     {diag.crossing_count}")
+    print(f"crossings     {pd.crossing_count}")
     print(f"faces         {diag.faces.counts}")
     print(f"twist regions {diag.twist_count}")
     print(f"tau(shaded)   {Decimal(spanning_tree_count(diag.shaded))}")

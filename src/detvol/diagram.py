@@ -181,7 +181,6 @@ class Diagram:
     faces: FaceVector
     shaded: Multigraph
     white: Multigraph
-    crossing_count: int
     twist_count: int
 
 
@@ -192,7 +191,6 @@ def analyze(pd: PDCode) -> Diagram:
         faces=faces(pd),
         shaded=shaded,
         white=white,
-        crossing_count=pd.crossing_count,
         twist_count=twist_regions(pd),
     )
 
@@ -321,16 +319,6 @@ def necklace_plane_graph(bundles: list[int]) -> PlaneGraph:
             incoming[(i + 1) % n].append((eid, 1))
     rotations = [outgoing[v] + incoming[v][::-1] for v in range(n)]
     return PlaneGraph(edges, rotations)
-
-
-def bundle_plane_graph(multiplicity: int) -> PlaneGraph:
-    """Two vertices joined by parallel edges (checkerboard graph of a (2,k) torus link)."""
-    if multiplicity < 1:
-        raise ValueError("need at least one edge")
-    edges = [(0, 1)] * multiplicity
-    rot0 = [(i, 0) for i in range(multiplicity)]
-    rot1 = [(i, 1) for i in range(multiplicity - 1, -1, -1)]
-    return PlaneGraph(edges, [rot0, rot1])
 
 
 # ---------------------------------------------------------------------------

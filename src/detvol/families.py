@@ -37,7 +37,7 @@ class TwoBridge:
     a: tuple[int, ...]
 
     def __post_init__(self):
-        _check_entries(self.a, 1)
+        _check_entries(self.a)
 
     def __str__(self):
         return "R(" + ",".join(map(str, self.a)) + ")"
@@ -67,7 +67,7 @@ class Pretzel:
     a: tuple[int, ...]
 
     def __post_init__(self):
-        _check_entries(self.a, 1)
+        _check_entries(self.a)
 
     def __str__(self):
         return "P(" + ",".join(map(str, self.a)) + ")"
@@ -88,12 +88,12 @@ class Weaving4:
 FamilySpec = TwoBridge | ThreeBraid | Pretzel | Weaving4
 
 
-def _check_entries(a, minimum):
+def _check_entries(a):
     if not a:
         raise ValueError("sequence must be nonempty")
     for x in a:
-        if x < minimum:
-            raise ValueError(f"all entries must be >= {minimum}")
+        if x < 1:
+            raise ValueError("all entries must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def _check_entries(a, minimum):
 def twobridge_det(a) -> int:
     """T(n) from T(0)=1, T(1)=a1, T(k+1) = a_{k+1} T(k) + T(k-1)."""
     a = tuple(a)
-    _check_entries(a, 1)
+    _check_entries(a)
     t_prev, t = 1, a[0]
     for x in a[1:]:
         t_prev, t = t, x * t + t_prev
@@ -113,7 +113,7 @@ def twobridge_det(a) -> int:
 def v_function(a) -> Fraction:
     """The product prod (a_i + 2) / 2, as an exact rational."""
     a = tuple(a)
-    _check_entries(a, 1)
+    _check_entries(a)
     num = 1
     for x in a:
         num *= x + 2
@@ -127,7 +127,7 @@ def twobridge_vol_upper(a) -> Real:
     2*pi*log V(a).
     """
     a = tuple(a)
-    _check_entries(a, 1)
+    _check_entries(a)
     if len(a) < 2:
         raise ValueError("a single twist region is a torus link; no bound")
     logv = math.log(a[0] + 1) + math.log(a[-1] + 1) - math.log(4.0)
@@ -188,7 +188,7 @@ def threebraid_allones_det(n: int) -> int:
 def pretzel_det(a) -> int:
     """sum_i prod_{j != i} a_j, exactly."""
     a = tuple(a)
-    _check_entries(a, 1)
+    _check_entries(a)
     n = len(a)
     prefix = [1] * (n + 1)
     for i, x in enumerate(a):
@@ -363,6 +363,8 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
 
 def to_diagram(spec: FamilySpec) -> dgm.Diagram:
     """Standard diagram of the family member."""
+    if isinstance(spec, Pretzel) and len(spec.a) == 1:
+        spec = TwoBridge(spec.a)  # both draw the (2,a) torus link
     if isinstance(spec, TwoBridge):
         word = []
         for i, x in enumerate(spec.a):
@@ -375,11 +377,7 @@ def to_diagram(spec: FamilySpec) -> dgm.Diagram:
             word += [1] * ai + [2] * bi
         pd = dgm.braid_closure_pd(3, word)
     elif isinstance(spec, Pretzel):
-        if len(spec.a) == 1:
-            plane = dgm.bundle_plane_graph(spec.a[0])
-        else:
-            plane = dgm.necklace_plane_graph(list(spec.a))
-        pd = dgm.medial_pd(plane)
+        pd = dgm.medial_pd(dgm.necklace_plane_graph(list(spec.a)))
     elif isinstance(spec, Weaving4):
         pd = dgm.braid_closure_pd(4, [1, 3, 2] * spec.n)
     else:

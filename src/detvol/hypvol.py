@@ -187,16 +187,11 @@ def adams_bound_exact(faces: FaceVector, r: int, s: int) -> Real:
     return Real(v, err + (len(vols) + 2) * math.ulp(total))
 
 
-def adams_bound_log(faces: FaceVector, r: int | None = None, s: int | None = None) -> Real:
-    """Closed-form bound 2*pi*log(prod n^b_n / 2^m * 4/(r*s)).
+def adams_bound_log(faces: FaceVector, r: int, s: int) -> Real:
+    """Closed-form bound 2*pi*log(prod n^b_n / 2^m * 4/(r*s)) for chosen faces r, s.
 
-    By default r, s are the two largest face sizes available as distinct
-    faces, which minimizes the bound.
+    ``faces.two_largest()`` gives the r, s that minimize the bound.
     """
-    if r is None and s is None:
-        r, s = faces.two_largest()
-    elif r is None or s is None:
-        raise ValueError("give both r and s, or neither")
     _check_two_faces(faces, r, s)
     m = faces.total_faces
     logp = math.fsum(b * math.log(n) for n, b in faces.counts.items())
@@ -243,33 +238,9 @@ def _gamma_root() -> float:
     return (lo + hi) / 2.0
 
 
-@dataclass(frozen=True)
-class Constants:
-    """The five constants used by the volume/determinant comparisons."""
-
-    v4: Real    # volume of the regular ideal tetrahedron
-    v8: Real    # volume of the regular ideal octahedron (= vol B_4)
-    gamma: Real  # root of x^-5 + 2x^-4 + x^-3 = 1
-    xi: Real    # exp(5 v4 / pi)
-    zeta: Real  # exp(v8 / pi)
-
-
-@lru_cache(maxsize=1)
-def constants() -> Constants:
-    v4 = 3.0 * _lob(math.pi / 3.0)
-    v8 = 8.0 * _lob(math.pi / 4.0)
-    g = _gamma_root()
-    return Constants(
-        v4=Real(v4, 1e-12),
-        v8=Real(v8, 1e-12),
-        gamma=Real(g, 1e-12),
-        xi=Real(math.exp(5.0 * v4 / math.pi), 1e-11),
-        zeta=Real(math.exp(v8 / math.pi), 1e-11),
-    )
-
-
-V4 = constants().v4
-V8 = constants().v8
-GAMMA = constants().gamma
-XI = constants().xi
-ZETA = constants().zeta
+# the five constants of the volume/determinant comparisons
+V4 = Real(3.0 * _lob(math.pi / 3.0), 1e-12)  # volume of the regular ideal tetrahedron
+V8 = Real(8.0 * _lob(math.pi / 4.0), 1e-12)  # regular ideal octahedron, = vol B_4
+GAMMA = Real(_gamma_root(), 1e-12)  # root of x^-5 + 2x^-4 + x^-3 = 1
+XI = Real(math.exp(5.0 * V4.value / math.pi), 1e-11)  # exp(5 v4 / pi)
+ZETA = Real(math.exp(V8.value / math.pi), 1e-11)  # exp(v8 / pi)

@@ -39,13 +39,6 @@ class Multigraph:
     def __repr__(self):
         return f"Multigraph({self.vertex_count}, {self.edges})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Multigraph)
-            and self.vertex_count == other.vertex_count
-            and sorted(map(sorted, self.edges)) == sorted(map(sorted, other.edges))
-        )
-
     def degree(self, v: int) -> int:
         """Degree with loops counted twice."""
         return sum((u == v) + (w == v) for (u, w) in self.edges)

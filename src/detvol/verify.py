@@ -59,7 +59,7 @@ class BoundReport:
     spec: FamilySpec
     det: int
     two_pi_log_det: float
-    bounds: list[tuple[str, float]]
+    bounds: dict[str, float]  # name -> value: adams_exact, adams_log, lackenby[, montesinos]
     best_bound: float | None
     hyperbolic_status: str  # "known_nonhyperbolic" | "assumed_hyperbolic"
     verdict: str  # "holds" | "bound_inconclusive" | "vacuous"
@@ -67,12 +67,6 @@ class BoundReport:
     twist_count: int
     crossing_count: int
     reason: str = ""
-
-    def bound(self, name: str) -> float | None:
-        for n, v in self.bounds:
-            if n == name:
-                return v
-        return None
 
 
 def require_oracle_size(c: int) -> None:
@@ -119,16 +113,16 @@ def oracle_check(spec: FamilySpec, d: int, cf: fam.ClosedForm) -> None:
 def bound_report(spec: FamilySpec, d: int, cf: fam.ClosedForm) -> BoundReport:
     """Bounds, margin and verdict of a record; a non-hyperbolic one is vacuous."""
     two_pi_log_det = TWO_PI * math.log(d) if d >= 1 else float("-inf")
-    bounds: list[tuple[str, float]] = []
+    bounds: dict[str, float] = {}
     best, margin, verdict = None, None, "vacuous"
     if not cf.nonhyperbolic:
         r, s = cf.faces.two_largest()
-        bounds.append(("adams_exact", adams_bound_exact(cf.faces, r, s).value))
-        bounds.append(("adams_log", adams_bound_log(cf.faces, r, s).value))
-        bounds.append(("lackenby", lackenby_bound(cf.twist_count).value))
+        bounds["adams_exact"] = adams_bound_exact(cf.faces, r, s).value
+        bounds["adams_log"] = adams_bound_log(cf.faces, r, s).value
+        bounds["lackenby"] = lackenby_bound(cf.twist_count).value
         if isinstance(spec, Pretzel):
-            bounds.append(("montesinos", montesinos_bound(cf.twist_count).value))
-        best = min(v for _, v in bounds)
+            bounds["montesinos"] = montesinos_bound(cf.twist_count).value
+        best = min(bounds.values())
         margin = two_pi_log_det - best
         verdict = "holds" if margin > 0.0 else "bound_inconclusive"
     return BoundReport(
@@ -150,14 +144,7 @@ def bound_report(spec: FamilySpec, d: int, cf: fam.ClosedForm) -> BoundReport:
 # high-twist certificates
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    t: int
-    c_threshold: float
-    rule: str
-
-
-def high_twist_threshold(t: int, rule: str = "general") -> ThresholdResult:
+def high_twist_threshold(t: int, rule: str = "general") -> float:
     """Crossing-number threshold beyond which the conjecture is automatic.
 
     general:    c >= t + xi^(t-1) - 2*gamma^(t-1)
@@ -167,8 +154,7 @@ def high_twist_threshold(t: int, rule: str = "general") -> ThresholdResult:
         raise ValueError("t must be >= 1")
     # exp(x), xi^(t-1) or zeta^t, outgrows 2*gamma^(t-1): inf past the float range
     x = _rule_bound(t, rule) / TWO_PI
-    thr = t + math.exp(x) - stoimenow_lower_bound(t).value if x < 709.78 else math.inf
-    return ThresholdResult(t=t, c_threshold=thr, rule=rule)
+    return t + math.exp(x) - stoimenow_lower_bound(t).value if x < 709.78 else math.inf
 
 
 def _rule_bound(t: int, rule: str) -> float:
@@ -188,7 +174,7 @@ def stoimenow_certificate(t: int, c: int, rule: str = "general") -> bool:
     """
     if c < t:
         raise ValueError("c must be >= t")
-    return c > high_twist_threshold(t, rule).c_threshold
+    return c > high_twist_threshold(t, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +427,10 @@ def report_row(r: BoundReport) -> dict[str, str | int | float | None]:
         "c": r.crossing_count,
         "det": str(Decimal(r.det)),
         "two_pi_log_det": r.two_pi_log_det,
-        "adams_exact": r.bound("adams_exact"),
-        "adams_log": r.bound("adams_log"),
-        "lackenby": r.bound("lackenby"),
-        "montesinos": r.bound("montesinos"),
+        "adams_exact": r.bounds.get("adams_exact"),
+        "adams_log": r.bounds.get("adams_log"),
+        "lackenby": r.bounds.get("lackenby"),
+        "montesinos": r.bounds.get("montesinos"),
         "best_bound": r.best_bound,
         "margin": r.margin,
         "hyperbolic_status": r.hyperbolic_status,

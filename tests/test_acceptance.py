@@ -28,7 +28,7 @@ from detvol.families import (
     v_function,
     weaving_det,
 )
-from detvol.hypvol import TWO_PI, bipyramid_volume, constants
+from detvol.hypvol import GAMMA, TWO_PI, V4, V8, XI, ZETA, bipyramid_volume
 from detvol.multigraph import (
     Multigraph,
     contract,
@@ -67,21 +67,20 @@ def compositions_upto(total_max, min_len=1, max_len=None):
 
 
 def test_criterion_1_constants():
-    k = constants()
     ok = (
-        abs(k.v4.value - 1.01494) < 1e-5
-        and abs(k.v8.value - 3.66386237) < 1e-8
-        and abs(k.gamma.value - 1.4253) < 1e-4
-        and abs(k.gamma.value ** -5 + 2 * k.gamma.value ** -4 + k.gamma.value ** -3 - 1)
+        abs(V4.value - 1.01494) < 1e-5
+        and abs(V8.value - 3.66386237) < 1e-8
+        and abs(GAMMA.value - 1.4253) < 1e-4
+        and abs(GAMMA.value ** -5 + 2 * GAMMA.value ** -4 + GAMMA.value ** -3 - 1)
         < 1e-12
-        and abs(k.xi.value - 5.0296) < 1e-4
-        and abs(k.zeta.value - 3.2099) < 1e-4
+        and abs(XI.value - 5.0296) < 1e-4
+        and abs(ZETA.value - 3.2099) < 1e-4
     )
     _report(
         "1 constants",
         ok,
-        f"v4={k.v4.value:.10f} v8={k.v8.value:.10f} gamma={k.gamma.value:.10f} "
-        f"xi={k.xi.value:.6f} zeta={k.zeta.value:.6f}",
+        f"v4={V4.value:.10f} v8={V8.value:.10f} gamma={GAMMA.value:.10f} "
+        f"xi={XI.value:.6f} zeta={ZETA.value:.6f}",
     )
 
 
@@ -231,7 +230,7 @@ def test_criterion_6_conjecture_sweeps():
 def test_criterion_7_weaving():
     for n in range(4, 51):
         r = check(Weaving4(n), oracle_cap=30)
-        bound = r.bound("adams_exact")
+        bound = r.bounds["adams_exact"]
         assert math.exp(bound / TWO_PI) <= 3.418677234 ** n, n
         assert r.two_pi_log_det > bound, n
         assert r.verdict == "holds", n

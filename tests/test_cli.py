@@ -40,6 +40,8 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "P(2,3,7)")
         assert code == 0
         assert "det               41" in out
+        bounds = [ln.split()[1] for ln in out.splitlines() if ln.startswith("bound ")]
+        assert bounds == ["adams_exact", "adams_log", "lackenby", "montesinos"]
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "check", "Z(1)")
@@ -130,7 +132,16 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--t-min", str(t), "--t-max", str(t))
         assert code == 1
         assert out == ""
-        assert f"error: t_max must be <= {verify.MAX_ENUMERATION_T}" in err
+        assert err == f"error: t_max must be <= {verify.MAX_ENUMERATION_T}\n"
+
+    def test_warns_on_large_accepted_t_max(self, capsys, monkeypatch):
+        t = verify.MAX_ENUMERATION_T
+        monkeypatch.setattr(verify, "enumerate_pretzels",
+                            lambda t_max, **kw: verify.EnumerationReport(kw["t_min"], t_max))
+        code, out, err = run(capsys, "enumerate", "--t-min", str(t), "--t-max", str(t))
+        assert code == 0
+        assert out.startswith(f"pretzel enumeration t={t}..{t}:")
+        assert err.startswith(f"warning: t-max={t} explores a large frontier")
 
     def test_violation_line_pastes_into_check(self, capsys, monkeypatch):
         real_bound_report = verify.bound_report

@@ -9,7 +9,6 @@ from detvol.diagram import (
     PDCode,
     analyze,
     braid_closure_pd,
-    bundle_plane_graph,
     checkerboard_graphs,
     faces,
     medial_pd,
@@ -227,7 +226,7 @@ class TestBuilders:
         assert {shaded.vertex_count, white.vertex_count} == {3, 11}
 
     def test_medial_of_bundle(self):
-        pd = medial_pd(bundle_plane_graph(4))
+        pd = medial_pd(necklace_plane_graph([2, 2]))
         shaded, white = checkerboard_graphs(pd)
         assert spanning_tree_count(shaded) == 4
 
@@ -265,7 +264,7 @@ class TestPDFormats:
 
     def test_analyze(self):
         diag = analyze(PDCode(FIG8_PD))
-        assert diag.crossing_count == 4
+        assert diag.pd.crossing_count == 4
         assert diag.twist_count == 2
         assert diag.faces == {2: 2, 3: 4}
 

@@ -270,18 +270,27 @@ class TestStatementSuites:
 class TestDiagrams:
     def test_spec_examples(self):
         d = to_diagram(TwoBridge((3, 3, 2)))
-        assert d.crossing_count == 8
+        assert d.pd.crossing_count == 8
         assert d.twist_count == 3
         assert spanning_tree_count(d.shaded) == 23
 
         d = to_diagram(ThreeBraid(((3, 3), (2, 3))))
-        assert d.crossing_count == 11
+        assert d.pd.crossing_count == 11
         assert d.twist_count == 4
         assert spanning_tree_count(d.shaded) == threebraid_det([(3, 3), (2, 3)])
 
         d = to_diagram(Pretzel((1, 2, 4, 3, 4)))
         assert spanning_tree_count(d.shaded) == pretzel_det([1, 2, 4, 3, 4])
         assert d.twist_count == 5
+
+    def test_one_entry_pretzel_is_two_bridge(self):
+        # both are the (2,a) torus link
+        for a in range(1, 16):
+            p, r = to_diagram(Pretzel((a,))), to_diagram(TwoBridge((a,)))
+            assert p.faces == r.faces, a
+            assert p.twist_count == r.twist_count, a
+            for d in (p, r):
+                assert spanning_tree_count(d.shaded) == spanning_tree_count(d.white) == a
 
     def test_structural_counts(self):
         assert fam.closed_form(Weaving4(5)).crossing_count == 15
@@ -317,8 +326,8 @@ class TestDiagrams:
             expect = fam.det(spec)
             assert spanning_tree_count(d.shaded) == expect, spec
             assert spanning_tree_count(d.white) == expect, spec
-            assert d.faces.total_faces == d.crossing_count + 2
-            assert d.faces.total_sides == 4 * d.crossing_count
+            assert d.faces.total_faces == d.pd.crossing_count + 2
+            assert d.faces.total_sides == 4 * d.pd.crossing_count
 
     def test_closed_form_face_data_matches_diagram(self):
         specs = (
@@ -344,7 +353,7 @@ class TestDiagrams:
             cf = fam.closed_form(spec)
             assert cf.faces == d.faces, spec
             assert cf.twist_count == d.twist_count, spec
-            assert cf.crossing_count == d.crossing_count, spec
+            assert cf.crossing_count == d.pd.crossing_count, spec
 
     def test_closed_form_twist_merges(self):
         for text, t in [("R(1,1)", 1), ("R(1,2,1)", 1), ("R(1,1,1,1)", 2), ("W(2)", 4),
@@ -362,7 +371,8 @@ class TestDiagrams:
 
         for a in compositions_upto(9, min_len=2):
             d = to_diagram(TwoBridge(a))
-            al = adams_bound_log(d.faces).value
+            r, s = d.faces.two_largest()
+            al = adams_bound_log(d.faces, r, s).value
             assert al <= TWO_PI * math.log(v_function(a)) + 1e-9, a
             assert al <= twobridge_vol_upper(a).value + 1e-9, a
 

@@ -21,7 +21,6 @@ from detvol.hypvol import (
     adams_bound_exact,
     adams_bound_log,
     bipyramid_volume,
-    constants,
     lackenby_bound,
     lobachevsky,
     montesinos_bound,
@@ -170,12 +169,11 @@ class TestBipyramid:
 
 class TestConstants:
     def test_values(self):
-        k = constants()
-        assert abs(k.v4.value - 1.01494) < 1e-5
-        assert abs(k.v8.value - 3.66386237) < 1e-8
-        assert abs(k.gamma.value - 1.4253) < 1e-4
-        assert abs(k.xi.value - 5.0296) < 1e-4
-        assert abs(k.zeta.value - 3.2099) < 1e-4
+        assert abs(V4.value - 1.01494) < 1e-5
+        assert abs(V8.value - 3.66386237) < 1e-8
+        assert abs(GAMMA.value - 1.4253) < 1e-4
+        assert abs(XI.value - 5.0296) < 1e-4
+        assert abs(ZETA.value - 3.2099) < 1e-4
 
     def test_gamma_residual(self):
         g = GAMMA.value
@@ -245,12 +243,12 @@ class TestAdamsBounds:
         assert adams_bound_exact(FaceVector({2: 2, 3: 4}), 3, 3).abs_err < 1e-10
 
     def test_log_figure_eight(self):
-        v = adams_bound_log(FaceVector({2: 2, 3: 4})).value
+        v = adams_bound_log(FaceVector({2: 2, 3: 4}), 3, 3).value
         assert abs(v - TWO_PI * math.log(9 / 4)) < 1e-12
 
     def test_log_all_bigon_interior(self):
         for k in (1, 3, 7):
-            assert abs(adams_bound_log(FaceVector({2: k, 3: 2})).value) < 1e-12
+            assert abs(adams_bound_log(FaceVector({2: k, 3: 2}), 3, 3).value) < 1e-12
 
     def test_exact_below_log_same_faces(self):
         # strict whenever a face of size >= 3 survives the removal
@@ -268,7 +266,7 @@ class TestAdamsBounds:
 
     def test_rejects_monogons(self):
         with pytest.raises(ValueError):
-            adams_bound_log(FaceVector({1: 2, 2: 1}))
+            adams_bound_log(FaceVector({1: 2, 2: 1}), 2, 1)
 
 
 class TestTwistBounds:

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import detvol
 from detvol import families, verify
 from detvol.families import Pretzel, ThreeBraid, TwoBridge, Weaving4, pretzel_det, to_diagram
 from detvol.hypvol import GAMMA, TWO_PI, V4, XI, ZETA, FaceVector
@@ -51,20 +52,20 @@ class TestCheck:
         r = check(Pretzel((2, 3, 7)))
         assert r.verdict == "holds"
         assert r.det == 41
-        assert r.bound("montesinos") is not None
+        assert r.bounds.get("montesinos") is not None
 
     def test_weaving_uses_exact_bound(self):
         for n in (4, 6, 10):
             r = check(Weaving4(n))
             assert r.verdict == "holds"
-            bound = r.bound("adams_exact")
+            bound = r.bounds["adams_exact"]
             assert math.exp(bound / TWO_PI) <= 3.418677234 ** n
             assert r.two_pi_log_det > bound
 
     def test_best_bound_is_min(self):
         r = check(ThreeBraid(((2, 3), (1, 2))))
-        assert r.best_bound == min(v for _, v in r.bounds)
-        assert all(r.best_bound <= v + 1e-12 for _, v in r.bounds)
+        assert r.best_bound == min(r.bounds.values())
+        assert all(r.best_bound <= v + 1e-12 for v in r.bounds.values())
 
     def test_margin_definition(self):
         r = check(TwoBridge((2, 3, 4)))
@@ -131,20 +132,20 @@ class TestCheck:
     def test_only_served_bounds(self):
         for spec in (TwoBridge((1, 1, 2)), TwoBridge((3, 4, 2)), ThreeBraid(((2, 2), (2, 3))),
                      Pretzel((2, 3, 7)), Weaving4(5)):
-            assert {name for name, _ in check(spec).bounds} <= set(CSV_COLUMNS), spec
+            assert set(check(spec).bounds) <= set(CSV_COLUMNS), spec
 
 
 class TestThresholds:
     def test_t1(self):
-        assert abs(high_twist_threshold(1, "general").c_threshold) < 1e-12
+        assert abs(high_twist_threshold(1, "general")) < 1e-12
 
     def test_t2(self):
-        thr = high_twist_threshold(2, "general").c_threshold
+        thr = high_twist_threshold(2, "general")
         assert abs(thr - (2 + XI.value - 2 * GAMMA.value)) < 1e-12
         assert abs(thr - 4.18) < 0.01
 
     def test_montesinos_13(self):
-        thr = high_twist_threshold(13, "montesinos").c_threshold
+        thr = high_twist_threshold(13, "montesinos")
         expect = 13 + ZETA.value ** 13 - 2 * GAMMA.value ** 12
         assert abs(thr - expect) < 1e-6
         assert 3.8e6 < thr < 3.95e6
@@ -168,7 +169,7 @@ class TestStoimenowCertificate:
         rng = random.Random(41)
         for _ in range(200):
             t = rng.randint(1, 20)
-            thr = high_twist_threshold(t, "general").c_threshold
+            thr = high_twist_threshold(t, "general")
             c = max(t, math.ceil(thr)) + rng.randint(0, 50)
             assert stoimenow_certificate(t, c, "general")
             # the inequality chain behind it
@@ -178,12 +179,12 @@ class TestStoimenowCertificate:
 
     def test_past_float_range(self):
         # the threshold outgrows a float long before the determinant floor
-        assert high_twist_threshold(500, "general").c_threshold == math.inf
+        assert high_twist_threshold(500, "general") == math.inf
         assert not stoimenow_certificate(500, 600, "general")
         # past about t = 2,100 the determinant floor overflows too
         for t in (2100, 5000):
             for rule in ("general", "montesinos"):
-                assert high_twist_threshold(t, rule).c_threshold == math.inf
+                assert high_twist_threshold(t, rule) == math.inf
                 assert not stoimenow_certificate(t, t + 10, rule)
 
     def test_rejects(self):
@@ -435,7 +436,16 @@ class TestSerialization:
         assert next(csv.DictReader(io.StringIO(csv_text)))["det"] == expected
         assert json.loads(json_text)[0]["det"] == expected
 
+    def test_report_row_keys_are_csv_columns(self):
+        for spec in (Pretzel((2, 3, 7)), TwoBridge((3, 2)), TwoBridge((1, 1, 1)), Weaving4(5)):
+            assert tuple(verify.report_row(check(spec))) == CSV_COLUMNS, spec
+
     def test_det_is_exact_string(self):
         r = check(Weaving4(30), oracle_cap=0)
         row = reports_to_json([r])
         assert str(r.det) in row
+
+
+def test_exports_resolve():
+    for name in detvol.__all__:
+        assert hasattr(detvol, name), name
