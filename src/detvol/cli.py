@@ -1,18 +1,19 @@
 """Command-line interface.
 
-Subcommands: check, constants, enumerate, sweep, pd.  Exit codes are the
-machine contract: 0 for holds/vacuous, 2 for bound_inconclusive (or an
-enumeration with violations), 1 for input errors.  Table output truncates
-reals to --precision digits; csv/json always carry full precision and the
-determinant as an exact decimal string.  Exact integers are printed through
-``Decimal``, whose conversion to a string is exempt from the interpreter's
-int-to-str digit limit (W(20000)'s determinant has 11k digits).
+Subcommands: check, constants, enumerate, sweep, pd, each with its own
+options after its name.  Exit codes are the machine contract: 0 for
+holds/vacuous, 2 for bound_inconclusive (or an enumeration with violations),
+1 for input and usage errors.  The check table truncates reals to
+--precision digits and the sweep table to 6; csv/json always carry full
+precision and the determinant as an exact decimal string.  Exact integers
+are printed through ``Decimal``, whose conversion to a string is exempt from
+the interpreter's int-to-str digit limit (W(20000)'s determinant has 11k
+digits).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from decimal import Decimal
 
@@ -23,52 +24,57 @@ from .hypvol import GAMMA, V4, V8, XI, ZETA, bipyramid_volume
 from .multigraph import spanning_tree_count
 
 
-def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    dflt = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--format", default=dflt("table"),
-                        choices=("table", "csv", "json"))
-    parser.add_argument("--precision", type=int, default=dflt(12), metavar="DIGITS",
-                        help="digits shown in table output (6..15, default 12)")
-    parser.add_argument("--workers", type=int, default=dflt(None),
-                        help="worker processes for sweeps (env DETVOL_WORKERS)")
-    parser.add_argument("--oracle-cap", type=int,
-                        default=dflt(verify.DEFAULT_ORACLE_CAP),
-                        help="max crossings for the matrix-tree determinant cross-check")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every input error; 2 means bound_inconclusive."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+def _build_parser() -> _Parser:
+    p = _Parser(
         prog="detvol",
         description="Exact determinants and volume bounds for alternating link families.",
     )
-    _common_flags(p, suppress=False)
-    # flags are accepted after the subcommand too; SUPPRESS keeps the
-    # subparser from clobbering values given before it
-    common = argparse.ArgumentParser(add_help=False)
-    _common_flags(common, suppress=True)
     sub = p.add_subparsers(dest="command", required=True)
+    # each subcommand declares exactly the options its handler reads
+    fmt = dict(default="table", choices=("table", "csv", "json"))
+    precision = dict(type=int, default=12, metavar="DIGITS",
+                     help="digits shown in table output (6..15, default 12)")
+    oracle_cap = dict(type=int, default=verify.DEFAULT_ORACLE_CAP,
+                      help="max crossings for the matrix-tree determinant cross-check")
 
-    c = sub.add_parser("check", parents=[common], help="check one family member")
+    c = sub.add_parser("check", help="check one family member")
     c.add_argument("spec", help="R(a1,...)  B(a1,b1,...)  P(a1,...)  W(n)")
+    c.add_argument("--format", **fmt)
+    c.add_argument("--precision", **precision)
+    c.add_argument("--oracle-cap", **oracle_cap)
+    c.set_defaults(handler=cmd_check)
 
-    sub.add_parser("constants", parents=[common],
-                   help="print the constants and a bipyramid volume table")
+    k = sub.add_parser("constants", help="print the constants and a bipyramid volume table")
+    k.add_argument("--precision", **precision)
+    k.set_defaults(handler=cmd_constants)
 
-    e = sub.add_parser("enumerate", parents=[common],
-                       help="pretzel enumeration up to a twist-region count")
+    e = sub.add_parser("enumerate", help="pretzel enumeration up to a twist-region count")
     e.add_argument("--t-max", type=int, default=6)
     e.add_argument("--t-min", type=int, default=3)
     e.add_argument("--rule", default="montesinos", choices=("general", "montesinos"))
+    e.add_argument("--oracle-cap", **oracle_cap)
+    e.set_defaults(handler=cmd_enumerate)
 
-    s = sub.add_parser("sweep", parents=[common],
-                       help="check every family member up to a crossing cap")
+    s = sub.add_parser("sweep", help="check every family member up to a crossing cap")
     s.add_argument("--family", required=True, choices=("R", "B", "P", "W"))
     s.add_argument("--sum-max", type=int, required=True,
                    help="total crossing number cap")
+    s.add_argument("--format", **fmt)
+    s.add_argument("--workers", type=int, default=1, help="worker processes")
+    s.add_argument("--oracle-cap", **oracle_cap)
+    s.set_defaults(handler=cmd_sweep)
 
-    d = sub.add_parser("pd", parents=[common],
-                       help="analyze a diagram from a PD file")
+    d = sub.add_parser("pd", help="analyze a diagram from a PD file")
     d.add_argument("file", help="PD text ('X a b c d' lines) or JSON array of 4-tuples")
+    d.set_defaults(handler=cmd_pd)
     return p
 
 
@@ -155,11 +161,10 @@ def cmd_sweep(args) -> int:
     elif args.format == "csv":
         print(verify.reports_to_csv(reports), end="")
     else:
-        d = args.precision
         for r in reports:
             print(
                 f"{str(r.spec):<28} det {Decimal(r.det)!s:<14} "
-                f"margin {_fmt(r.margin, min(d, 6)):<12} {r.verdict}"
+                f"margin {_fmt(r.margin, 6):<12} {r.verdict}"
             )
     return 0
 
@@ -183,27 +188,14 @@ def cmd_pd(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.workers is None:
-            env = os.environ.get("DETVOL_WORKERS", "1")
-            try:
-                args.workers = int(env)
-            except ValueError:
-                raise ValueError(f"DETVOL_WORKERS must be an integer, got {env!r}") from None
-        if not (6 <= args.precision <= 15):
+        # only check and constants take --precision, only sweep --workers
+        if not (6 <= getattr(args, "precision", 12) <= 15):
             raise ValueError("precision must be in [6, 15]")
-        if args.workers < 1:
+        if getattr(args, "workers", 1) < 1:
             raise ValueError("workers must be >= 1")
-        handler = {
-            "check": cmd_check,
-            "constants": cmd_constants,
-            "enumerate": cmd_enumerate,
-            "sweep": cmd_sweep,
-            "pd": cmd_pd,
-        }[args.command]
-        return handler(args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

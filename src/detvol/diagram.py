@@ -11,9 +11,9 @@ graphs have one vertex per face of a color class and one edge per crossing.
 The two graphs are planar duals, so they have the same number of spanning
 trees, and for an alternating link that number is the link determinant.
 
-Builders are provided for braid closures, 4-plat closures, and the medial
-construction (an alternating diagram whose checkerboard graph is a given
-plane multigraph).
+Builders are provided for braid closures, 4-plat closures, and pretzel
+diagrams (the medial of a necklace: a cycle of parallel-edge bundles, which
+is the pretzel's checkerboard graph).
 """
 
 from __future__ import annotations
@@ -262,63 +262,33 @@ def plat_closure_pd(word: list[int], top_caps: list[tuple[int, int]]) -> PDCode:
     return _closed(crossings, [(arc[i - 1], arc[j - 1]) for (i, j) in top_caps])
 
 
-class PlaneGraph:
-    """A multigraph with a rotation system (ccw dart order at each vertex)."""
+def medial_pd(bundles: list[int]) -> PDCode:
+    """Alternating-diagram map whose checkerboard graph is a necklace.
 
-    def __init__(self, edges: list[tuple[int, int]], rotations: list[list[tuple[int, int]]]):
-        """``rotations[v]`` lists darts (edge_id, end) counterclockwise at v."""
-        self.edges = list(edges)
-        self.rotations = [list(r) for r in rotations]
-        darts = sorted(d for r in self.rotations for d in r)
-        if darts != [(eid, end) for eid in range(len(self.edges)) for end in (0, 1)]:
-            raise ValueError("rotation system does not list each dart exactly once")
-
-
-def medial_pd(g: PlaneGraph) -> PDCode:
-    """Alternating-diagram map whose checkerboard graph is ``g``.
-
-    Each edge of g becomes a crossing; each corner (consecutive dart pair in
-    a rotation) becomes an arc.  This is the medial construction: vertices
-    of g become faces of one color, faces of g the other.
-    """
-    # corner p of vertex v (between darts p - 1 and p) is arc base(v) + p
-    corners: dict[tuple[int, int], tuple[int, int]] = {}  # dart -> corners before, at
-    base = 0
-    for rot in g.rotations:
-        k = len(rot)
-        for p, d in enumerate(rot):
-            corners[d] = (base + (p - 1) % k, base + p)
-        base += k
-    crossings = []
-    for eid in range(len(g.edges)):
-        u_before, u_at = corners[(eid, 0)]
-        w_before, w_at = corners[(eid, 1)]
-        crossings.append((w_before, u_at, u_before, w_at))
-    return PDCode(crossings)
-
-
-def necklace_plane_graph(bundles: list[int]) -> PlaneGraph:
-    """Cycle of vertices with parallel-edge bundles between neighbors.
-
-    ``bundles[i]`` parallel edges join vertex i to vertex i+1 (mod n); this
-    is the checkerboard graph of a pretzel diagram when n >= 3.
+    The necklace is a cycle of n vertices with ``bundles[i]`` parallel edges
+    from vertex i to vertex i+1 (mod n); for n >= 3 the map is the pretzel
+    diagram P(bundles).  This is the medial construction: each edge becomes
+    a crossing and each corner (consecutive pair of edge ends around a
+    vertex) an arc.  Counterclockwise around vertex i come the ends of
+    bundle i, then those of bundle i-1 in reverse; the corners on either
+    side of end p there are arcs base + p - 1 and base + p, cyclically.
     """
     n = len(bundles)
     if n < 2:
         raise ValueError("necklace needs at least 2 positions")
-    edges = []
-    outgoing: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    incoming: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    if min(bundles) < 1:
+        raise ValueError("bundle sizes must be >= 1")
+    crossings = []
+    base = 0  # label of vertex i's first corner
     for i, a in enumerate(bundles):
-        if a < 1:
-            raise ValueError("bundle sizes must be >= 1")
-        for _ in range(a):
-            eid = len(edges)
-            edges.append((i, (i + 1) % n))
-            outgoing[i].append((eid, 0))
-            incoming[(i + 1) % n].append((eid, 1))
-    rotations = [outgoing[v] + incoming[v][::-1] for v in range(n)]
-    return PlaneGraph(edges, rotations)
+        k = a + bundles[i - 1]  # corners at vertex i
+        # at vertex i+1 this bundle's ends follow that vertex's own bundle in
+        # reverse, so edge j's end there sits at corner far - j
+        far = (base + k if i < n - 1 else 0) + bundles[(i + 1) % n] + a - 1
+        for j in range(a):
+            crossings.append((far - j - 1, base + j, base + (j - 1) % k, far - j))
+        base += k
+    return PDCode(crossings)
 
 
 # ---------------------------------------------------------------------------

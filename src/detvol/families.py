@@ -377,7 +377,7 @@ def to_diagram(spec: FamilySpec) -> dgm.Diagram:
             word += [1] * ai + [2] * bi
         pd = dgm.braid_closure_pd(3, word)
     elif isinstance(spec, Pretzel):
-        pd = dgm.medial_pd(dgm.necklace_plane_graph(list(spec.a)))
+        pd = dgm.medial_pd(list(spec.a))
     elif isinstance(spec, Weaving4):
         pd = dgm.braid_closure_pd(4, [1, 3, 2] * spec.n)
     else:

@@ -1,14 +1,17 @@
 """CLI surface: exit codes, formats, and the pd subcommand."""
 
+import argparse
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
 
 import pytest
 
 from detvol import diagram, families, verify
-from detvol.cli import main
+from detvol.cli import _build_parser, main
 from detvol.families import weaving_det
 from detvol.verify import MAX_ORACLE_CROSSINGS
 from pdtext import format_pd_text
@@ -22,6 +25,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def usage_error(capsys, *argv):
+    """Exit code, stdout and stderr of an argv the parser rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
 
 
 class TestCheck:
@@ -67,7 +78,7 @@ class TestCheck:
         c = MAX_ORACLE_CROSSINGS + 1
         spec = f"R({c // 2},{c - c // 2})"
         monkeypatch.setattr(families, "to_diagram", _no_diagram)
-        code, out, err = run(capsys, "--oracle-cap", "100000", "check", spec)
+        code, out, err = run(capsys, "check", spec, "--oracle-cap", "100000")
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {c} crossings is over the diagram oracle's limit")
@@ -102,9 +113,11 @@ class TestCheck:
             sys.set_int_max_str_digits(old)
 
     def test_flag_before_subcommand(self, capsys):
-        code, out, _ = run(capsys, "--format", "json", "check", "W(4)")
-        assert code == 0
-        assert json.loads(out)[0]["det"] == "384"
+        # options follow the subcommand; the top-level parser takes none
+        code, out, err = usage_error(capsys, "--format", "json", "check", "W(4)")
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
 
 
 class TestConstants:
@@ -249,21 +262,76 @@ class TestPd:
 
 class TestConfigValidation:
     def test_bad_precision(self, capsys):
-        code, _, err = run(capsys, "--precision", "20", "constants")
+        code, _, err = run(capsys, "constants", "--precision", "20")
         assert code == 1
 
     def test_bad_workers(self, capsys):
-        code, _, err = run(capsys, "--workers", "0", "constants")
+        code, _, err = run(capsys, "sweep", "--family", "R", "--sum-max", "3", "--workers", "0")
         assert code == 1
 
-    def test_bad_workers_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DETVOL_WORKERS", "abc")
-        code, _, err = run(capsys, "constants")
-        assert code == 1
-        assert err.startswith("error:") and "DETVOL_WORKERS" in err
-
-    def test_workers_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("DETVOL_WORKERS", "2")
-        code, out, _ = run(capsys, "sweep", "--family", "R", "--sum-max", "3")
+    def test_workers_option(self, capsys):
+        # R<=7 has 127 members, enough for the sweep to use the pool
+        argv = ("sweep", "--family", "R", "--sum-max", "7")
+        code, out, _ = run(capsys, *argv, "--workers", "2")
         assert code == 0
         assert "R(3)" in out
+        assert out == run(capsys, *argv)[1]
+
+
+class TestUsage:
+    # the options each subcommand declares, which are exactly those its handler reads
+    OPTIONS = {
+        "check": ["spec", "--format", "--precision", "--oracle-cap"],
+        "constants": ["--precision"],
+        "enumerate": ["--t-max", "--t-min", "--rule", "--oracle-cap"],
+        "sweep": ["--family", "--sum-max", "--format", "--workers", "--oracle-cap"],
+        "pd": ["file"],
+    }
+
+    def test_options_per_subcommand(self):
+        parser = _build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert [a.dest for a in parser._actions] == ["help", "command"]
+        declared = {
+            name: [a.option_strings[0] if a.option_strings else a.dest
+                   for a in p._actions if a.dest != "help"]
+            for name, p in sub.choices.items()
+        }
+        assert declared == self.OPTIONS
+
+    def test_option_of_another_subcommand_exits_1(self, capsys, tmp_path):
+        f = tmp_path / "fig8.pd"
+        f.write_text("X 0 1 4 3\nX 4 2 6 5\nX 3 5 8 0\nX 8 6 2 1\n")
+        for argv in (
+            ["enumerate", "--format", "json"],
+            ["pd", str(f), "--format", "csv"],
+            ["constants", "--workers", "2"],
+            ["check", "W(4)", "--workers", "2"],
+        ):
+            code, out, err = usage_error(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert "error: unrecognized arguments:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check"],
+        ["enumerate", "--t-max", "abc"],
+        ["sweep", "--family", "X", "--sum-max", "3"],
+    ], ids=["no-spec", "bad-int", "bad-choice"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # 2 is the bound_inconclusive code, not argparse's usage error
+        code, out, err = usage_error(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert any(": error: " in ln for ln in err.splitlines())
+        assert "Traceback" not in err
+
+    def test_module_usage_error_exits_1(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # the same detvol
+        proc = subprocess.run(
+            [sys.executable, "-m", "detvol.cli", "check"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert any(": error: " in ln for ln in proc.stderr.splitlines())
+        assert "Traceback" not in proc.stderr

@@ -12,7 +12,6 @@ from detvol.diagram import (
     checkerboard_graphs,
     faces,
     medial_pd,
-    necklace_plane_graph,
     parse_pd_json,
     parse_pd_text,
     plat_closure_pd,
@@ -198,6 +197,16 @@ class TestBuilders:
             (0, 1, 4, 3), (4, 2, 6, 5), (5, 6, 8, 7), (3, 7, 10, 9), (9, 10, 12, 11),
             (11, 12, 14, 0), (14, 8, 2, 1),
         ]
+        # P(2,3,7) and P(2,2), recorded before the medial was computed
+        # straight from the bundle sizes
+        assert medial_pd([2, 3, 7]).crossings == [
+            (12, 0, 8, 13), (11, 1, 0, 12), (22, 9, 13, 23), (21, 10, 9, 22),
+            (20, 11, 10, 21), (7, 14, 23, 8), (6, 15, 14, 7), (5, 16, 15, 6),
+            (4, 17, 16, 5), (3, 18, 17, 4), (2, 19, 18, 3), (1, 20, 19, 2),
+        ]
+        assert medial_pd([2, 2]).crossings == [
+            (6, 0, 3, 7), (5, 1, 0, 6), (2, 4, 7, 3), (1, 5, 4, 2),
+        ]
         for spec, want in (
             (TwoBridge((2, 1, 3)), plat_closure_pd([2, 2, 1, 2, 2, 2], [(1, 2), (3, 4)])),
             (TwoBridge((1, 1, 1, 1)), plat_closure_pd([2, 1, 2, 1], [(2, 3), (1, 4)])),
@@ -217,8 +226,7 @@ class TestBuilders:
         assert spanning_tree_count(shaded) == 5  # figure-eight
 
     def test_medial_of_necklace(self):
-        g = necklace_plane_graph([2, 3, 7])
-        pd = medial_pd(g)
+        pd = medial_pd([2, 3, 7])
         assert pd.crossing_count == 12
         shaded, white = checkerboard_graphs(pd)
         taus = {spanning_tree_count(shaded), spanning_tree_count(white)}
@@ -226,14 +234,13 @@ class TestBuilders:
         assert {shaded.vertex_count, white.vertex_count} == {3, 11}
 
     def test_medial_of_bundle(self):
-        pd = medial_pd(necklace_plane_graph([2, 2]))
+        pd = medial_pd([2, 2])
         shaded, white = checkerboard_graphs(pd)
         assert spanning_tree_count(shaded) == 4
 
     def test_medial_recovers_graph(self):
         # one checkerboard graph of the medial is the original
-        g = necklace_plane_graph([1, 2, 4, 3, 4])
-        pd = medial_pd(g)
+        pd = medial_pd([1, 2, 4, 3, 4])
         shaded, white = checkerboard_graphs(pd)
         source = {shaded.vertex_count: shaded, white.vertex_count: white}[5]
         degs = sorted(source.degree(v) for v in range(5))
