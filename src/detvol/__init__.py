@@ -32,15 +32,7 @@ from .hypvol import (
     montesinos_bound,
     stoimenow_lower_bound,
 )
-from .multigraph import (
-    Multigraph,
-    contract,
-    delete,
-    laplacian,
-    spanning_tree_count,
-    spanning_tree_count_bruteforce,
-    spanning_tree_count_deletion_contraction,
-)
+from .multigraph import Multigraph, laplacian, spanning_tree_count
 from .verify import (
     BoundReport,
     check,
@@ -66,8 +58,6 @@ __all__ = [
     "adams_bound_log",
     "bipyramid_volume",
     "check",
-    "contract",
-    "delete",
     "enumerate_pretzels",
     "high_twist_threshold",
     "lackenby_bound",
@@ -77,8 +67,6 @@ __all__ = [
     "parse_spec",
     "pretzel_det",
     "spanning_tree_count",
-    "spanning_tree_count_bruteforce",
-    "spanning_tree_count_deletion_contraction",
     "stoimenow_certificate",
     "stoimenow_lower_bound",
     "sweep",

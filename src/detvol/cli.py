@@ -23,6 +23,9 @@ from . import verify
 from .hypvol import GAMMA, V4, V8, XI, ZETA, bipyramid_volume
 from .multigraph import spanning_tree_count
 
+# enumerate lists this many violations, then counts the rest
+MAX_VIOLATION_LINES = 50
+
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1 like every input error; 2 means bound_inconclusive."""
@@ -144,8 +147,10 @@ def cmd_enumerate(args) -> int:
         rule=args.rule,
     )
     print(report.summary())
-    for arr, margin in report.violations[:50]:
+    for arr, margin in report.violations[:MAX_VIOLATION_LINES]:
         print(f"  VIOLATION {fam.Pretzel(arr)}: margin {margin:.6g}")
+    if len(report.violations) > MAX_VIOLATION_LINES:
+        print(f"  ... and {len(report.violations) - MAX_VIOLATION_LINES} more")
     return 0 if not report.violations else 2
 
 

@@ -174,17 +174,6 @@ def _lucas_v(p: int, n: int) -> int:
     return v
 
 
-def threebraid_allones_det(n: int) -> int:
-    """Closed form for B(1,1,...,1) with 2n ones: u_n - 2 with
-    u_0=2, u_1=3, u_{k+1} = 3u_k - u_{k-1}.
-
-    Equals ((3+sqrt5)/2)^n + ((3-sqrt5)/2)^n - 2, computed exactly.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _lucas_v(3, n) - 2
-
-
 def pretzel_det(a) -> int:
     """sum_i prod_{j != i} a_j, exactly."""
     a = tuple(a)

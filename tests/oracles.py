@@ -1,0 +1,164 @@
+"""Test helpers: independent spanning-tree counts, a closed form, and writers.
+
+``detvol`` counts spanning trees one way, by matrix-tree with Bareiss
+elimination.  The tests check that count against two routines that share no
+code with it:
+
+* brute-force enumeration of edge subsets (small graphs only);
+* deletion-contraction recursion.
+
+Edges are identified by their index in the edge list, which is what
+``delete`` and ``contract`` operate on.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from detvol.families import _lucas_v
+from detvol.multigraph import Multigraph
+
+BRUTE_FORCE_EDGE_LIMIT = 24
+
+
+def compositions_upto(total_max, min_len=1, max_len=None):
+    """Every tuple of positive integers with sum <= total_max, in DFS order."""
+    out = []
+
+    def rec(budget, cur):
+        if len(cur) >= min_len:
+            out.append(tuple(cur))
+        if max_len is not None and len(cur) >= max_len:
+            return
+        for x in range(1, budget + 1):
+            cur.append(x)
+            rec(budget - x, cur)
+            cur.pop()
+
+    rec(total_max, [])
+    return out
+
+
+def format_pd_text(pd) -> str:
+    """PD text writer: the inverse of ``diagram.parse_pd_text``."""
+    return "\n".join("X " + " ".join(map(str, t)) for t in pd.crossings) + "\n"
+
+
+def degree(g: Multigraph, v: int) -> int:
+    """Degree with loops counted twice."""
+    return sum((u == v) + (w == v) for (u, w) in g.edges)
+
+
+def threebraid_allones_det(n: int) -> int:
+    """Closed form for B(1,1,...,1) with 2n ones: u_n - 2 with
+    u_0=2, u_1=3, u_{k+1} = 3u_k - u_{k-1}.
+
+    Equals ((3+sqrt5)/2)^n + ((3-sqrt5)/2)^n - 2, computed exactly.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _lucas_v(3, n) - 2
+
+
+def spanning_tree_count_bruteforce(g: Multigraph) -> int:
+    """Oracle: count spanning edge subsets directly.  Small graphs only."""
+    if len(g.edges) > BRUTE_FORCE_EDGE_LIMIT:
+        raise ValueError(
+            f"graph has {len(g.edges)} edges; brute force is capped at "
+            f"{BRUTE_FORCE_EDGE_LIMIT}"
+        )
+    n = g.vertex_count
+    if n == 1:
+        return 1
+    nonloops = [e for e in g.edges if e[0] != e[1]]
+    count = 0
+    for subset in combinations(nonloops, n - 1):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for (u, v) in subset:
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                break
+            parent[ru] = rv
+        else:
+            count += 1
+    return count
+
+
+def delete(g: Multigraph, edge_index: int) -> Multigraph:
+    """Remove exactly one copy of the edge at ``edge_index``."""
+    edges = list(g.edges)
+    del edges[edge_index]
+    return Multigraph(g.vertex_count, edges)
+
+
+def contract(g: Multigraph, edge_index: int) -> Multigraph:
+    """Contract the (non-loop) edge at ``edge_index``, merging its endpoints.
+
+    Other parallel copies of the edge become loops, which are retained.
+    """
+    u, v = g.edges[edge_index]
+    if u == v:
+        raise ValueError("cannot contract a loop")
+    lo, hi = min(u, v), max(u, v)
+
+    def relabel(x: int) -> int:
+        if x == hi:
+            x = lo
+        return x - 1 if x > hi else x
+
+    edges = [
+        (relabel(a), relabel(b))
+        for i, (a, b) in enumerate(g.edges)
+        if i != edge_index
+    ]
+    return Multigraph(g.vertex_count - 1, edges)
+
+
+def spanning_tree_count_deletion_contraction(g: Multigraph) -> int:
+    """Spanning trees via the recursion tau(G) = tau(G-e) + tau(G/e).
+
+    Parallel copies of the pivot edge are handled in one step (deleting the
+    whole bundle versus contracting one copy, which turns the rest into
+    discardable loops), and loops are dropped up front.
+    """
+
+    def rec(n: int, edges: list[tuple[int, int]]) -> int:
+        edges = [e for e in edges if e[0] != e[1]]
+        if len(edges) < n - 1:
+            return 0
+        if n == 1:
+            return 1
+        # an isolated vertex leaves the graph disconnected: no spanning trees
+        deg = [0] * n
+        for (u, v) in edges:
+            deg[u] += 1
+            deg[v] += 1
+        if 0 in deg:
+            return 0
+        u, v = edges[-1]
+        mult = 0
+        rest = []
+        for (a, b) in edges:
+            if (a, b) == (u, v) or (a, b) == (v, u):
+                mult += 1
+            else:
+                rest.append((a, b))
+        # tau = tau(without the whole bundle) + mult * tau(bundle contracted)
+        without = rec(n, rest)
+        lo, hi = min(u, v), max(u, v)
+        merged = [
+            (lo if a == hi else (a - 1 if a > hi else a),
+             lo if b == hi else (b - 1 if b > hi else b))
+            for (a, b) in rest
+        ]
+        contracted = rec(n - 1, merged)
+        return without + mult * contracted
+
+    return rec(g.vertex_count, list(g.edges))

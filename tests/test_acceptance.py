@@ -29,15 +29,15 @@ from detvol.families import (
     weaving_det,
 )
 from detvol.hypvol import GAMMA, TWO_PI, V4, V8, XI, ZETA, bipyramid_volume
-from detvol.multigraph import (
-    Multigraph,
+from detvol.multigraph import Multigraph, spanning_tree_count
+from detvol.verify import check, enumerate_pretzels, sweep
+from oracles import (
+    compositions_upto,
     contract,
     delete,
-    spanning_tree_count,
     spanning_tree_count_bruteforce,
     spanning_tree_count_deletion_contraction,
 )
-from detvol.verify import check, enumerate_pretzels, sweep
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -47,23 +47,6 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def compositions_upto(total_max, min_len=1, max_len=None):
-    out = []
-
-    def rec(budget, cur):
-        if len(cur) >= min_len:
-            out.append(tuple(cur))
-        if max_len is not None and len(cur) >= max_len:
-            return
-        for x in range(1, budget + 1):
-            cur.append(x)
-            rec(budget - x, cur)
-            cur.pop()
-
-    rec(total_max, [])
-    return out
 
 
 def test_criterion_1_constants():

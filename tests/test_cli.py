@@ -10,11 +10,11 @@ from decimal import Decimal
 
 import pytest
 
-from detvol import diagram, families, verify
+from detvol import cli, diagram, families, verify
 from detvol.cli import _build_parser, main
 from detvol.families import weaving_det
 from detvol.verify import MAX_ORACLE_CROSSINGS
-from pdtext import format_pd_text
+from oracles import format_pd_text
 
 
 def _no_diagram(*args):
@@ -177,6 +177,29 @@ class TestEnumerate:
         code, out, _ = run(capsys, "check", spec_text)
         assert code == 0
         assert f"spec              {calls[0]}" in out
+
+    def test_long_violation_list_is_counted(self, capsys, monkeypatch):
+        real_bound_report = verify.bound_report
+        calls = []
+
+        def fake_bound_report(spec, d, cf):
+            calls.append(spec)
+            r = real_bound_report(spec, d, cf)
+            return dataclasses.replace(r, verdict="bound_inconclusive", margin=-0.5)
+
+        monkeypatch.setattr(verify, "bound_report", fake_bound_report)
+        code, out, _ = run(capsys, "enumerate", "--t-max", "4")
+        assert code == 2
+        assert len(calls) > cli.MAX_VIOLATION_LINES
+        lines = out.splitlines()
+        assert f"{len(calls)} violations" in lines[0]
+        listed = [s for s in lines if "VIOLATION" in s]
+        assert listed == [
+            f"  VIOLATION {spec}: margin -0.5"
+            for spec in calls[: cli.MAX_VIOLATION_LINES]
+        ]
+        assert lines[-1] == f"  ... and {len(calls) - cli.MAX_VIOLATION_LINES} more"
+        assert len(lines) == 1 + cli.MAX_VIOLATION_LINES + 1
 
 
 class TestSweep:

@@ -20,7 +20,7 @@ from detvol.diagram import (
 from detvol.families import ThreeBraid, TwoBridge, Weaving4, to_diagram
 from detvol.multigraph import spanning_tree_count
 from detvol.verify import sweep_specs
-from pdtext import format_pd_text
+from oracles import degree, format_pd_text
 
 # standard PD codes (slot order is a ccw cycle; over/under ignored):
 # the 3-crossing trefoil diagram and the 4-crossing figure-eight diagram
@@ -243,7 +243,7 @@ class TestBuilders:
         pd = medial_pd([1, 2, 4, 3, 4])
         shaded, white = checkerboard_graphs(pd)
         source = {shaded.vertex_count: shaded, white.vertex_count: white}[5]
-        degs = sorted(source.degree(v) for v in range(5))
+        degs = sorted(degree(source, v) for v in range(5))
         expect = sorted(
             a + b for a, b in zip([1, 2, 4, 3, 4], [2, 4, 3, 4, 1])
         )

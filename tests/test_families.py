@@ -16,7 +16,6 @@ from detvol.families import (
     closed_form,
     parse_spec,
     pretzel_det,
-    threebraid_allones_det,
     threebraid_det,
     to_diagram,
     twobridge_det,
@@ -26,21 +25,7 @@ from detvol.families import (
 )
 from detvol.hypvol import TWO_PI
 from detvol.multigraph import laplacian, spanning_tree_count
-
-
-def compositions_upto(total_max, min_len=1):
-    out = []
-
-    def rec(budget, cur):
-        if len(cur) >= min_len:
-            out.append(tuple(cur))
-        for x in range(1, budget + 1):
-            cur.append(x)
-            rec(budget - x, cur)
-            cur.pop()
-
-    rec(total_max, [])
-    return out
+from oracles import compositions_upto, degree, threebraid_allones_det
 
 
 class TestTwoBridgeDet:
@@ -401,9 +386,9 @@ class TestDiagrams:
             g = next(
                 gr for gr in (d.shaded, d.white) if gr.vertex_count == n + 1
             )
-            degs = sorted(g.degree(v) for v in range(n + 1))
+            degs = sorted(degree(g, v) for v in range(n + 1))
             assert degs == [3] * n + [n] if n > 3 else [3] * 4
-            hub = max(range(n + 1), key=g.degree)
+            hub = max(range(n + 1), key=lambda v: degree(g, v))
             adj = {v: [] for v in range(n + 1)}
             for (u, v) in g.edges:
                 adj[u].append(v)

@@ -5,12 +5,10 @@ import random
 import pytest
 
 from detvol.kernels import bareiss_det
-from detvol.multigraph import (
-    Multigraph,
+from detvol.multigraph import Multigraph, laplacian, spanning_tree_count
+from oracles import (
     contract,
     delete,
-    laplacian,
-    spanning_tree_count,
     spanning_tree_count_bruteforce,
     spanning_tree_count_deletion_contraction,
 )

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -446,6 +447,52 @@ class TestSerialization:
         assert str(r.det) in row
 
 
+# first 12 hex digits of SHA-256 of the serialized sweep (CSV, JSON); a change
+# that moves an output on purpose updates these and lists what moved
+SWEEP_PINS = {
+    ("R", 10, 40): ("6533d8d562f1", "0087a9f7b8d1"),
+    ("B", 10, 40): ("a7df0f75ea68", "b706b49a942b"),
+    ("P", 10, 40): ("c3870d490e03", "bfc9ac09cc6d"),
+    ("W", 60, 60): ("f79c19543b94", "6df119279c7b"),
+}
+
+
+def _sha12(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+@pytest.mark.parametrize("family, sum_max, cap", list(SWEEP_PINS))
+def test_sweep_output_pinned(family, sum_max, cap):
+    reports = sweep(family, sum_max, oracle_cap=cap)
+    got = (_sha12(reports_to_csv(reports)), _sha12(reports_to_json(reports)))
+    assert got == SWEEP_PINS[family, sum_max, cap]
+
+
+def test_enumeration_report_pinned():
+    r = enumerate_pretzels(5)
+    r.elapsed_seconds = 0.0
+    text = json.dumps(dataclasses.asdict(r), sort_keys=True)
+    assert _sha12(text) == "bb53d8cf7ad3"
+
+
+PUBLIC_API = [
+    "BoundReport", "FaceVector", "FamilySpec", "Multigraph", "Pretzel", "Real",
+    "ThreeBraid", "TwoBridge", "Weaving4", "adams_bound_exact",
+    "adams_bound_log", "bipyramid_volume", "check", "enumerate_pretzels",
+    "high_twist_threshold", "lackenby_bound", "laplacian", "lobachevsky",
+    "montesinos_bound", "parse_spec", "pretzel_det", "spanning_tree_count",
+    "stoimenow_certificate", "stoimenow_lower_bound", "sweep",
+    "threebraid_det", "to_diagram", "twobridge_det", "v_function",
+    "weaving_det",
+]
+
+
 def test_exports_resolve():
+    assert sorted(detvol.__all__) == PUBLIC_API
     for name in detvol.__all__:
         assert hasattr(detvol, name), name
+    # the independent tree counts live with the tests, not in the package
+    for name in ("contract", "delete", "spanning_tree_count_bruteforce",
+                 "spanning_tree_count_deletion_contraction"):
+        assert not hasattr(detvol, name), name
+        assert not hasattr(detvol.multigraph, name), name
