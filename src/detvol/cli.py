@@ -2,13 +2,13 @@
 
 Subcommands: check, constants, enumerate, sweep, pd, each with its own
 options after its name.  Exit codes are the machine contract: 0 for
-holds/vacuous, 2 for bound_inconclusive (or an enumeration with violations),
-1 for input and usage errors.  The check table truncates reals to
---precision digits and the sweep table to 6; csv/json always carry full
-precision and the determinant as an exact decimal string.  Exact integers
-are printed through ``Decimal``, whose conversion to a string is exempt from
-the interpreter's int-to-str digit limit (W(20000)'s determinant has 11k
-digits).
+holds/vacuous, 2 for bound_inconclusive (a check, a sweep with any such row,
+or an enumeration with violations), 1 for input and usage errors.  The check
+table truncates reals to --precision digits and the sweep table to 6;
+csv/json always carry full precision and the determinant as an exact decimal
+string.  Exact integers are printed through ``Decimal``, whose conversion to
+a string is exempt from the interpreter's int-to-str digit limit
+(W(20000)'s determinant has 11k digits).
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def cmd_sweep(args) -> int:
                 f"{str(r.spec):<28} det {Decimal(r.det)!s:<14} "
                 f"margin {_fmt(r.margin, 6):<12} {r.verdict}"
             )
-    return 0
+    return 2 if any(r.verdict == "bound_inconclusive" for r in reports) else 0
 
 
 def cmd_pd(args) -> int:

@@ -395,9 +395,9 @@ def parse_spec(text: str) -> FamilySpec:
     kind, body = m.group(1), m.group(2)
 
     def ints(s: str) -> tuple[int, ...]:
-        parts = [p.strip() for p in s.split(",") if p.strip()]
-        if not parts:
-            raise ValueError(f"empty number list in spec {text!r}")
+        parts = [p.strip() for p in s.split(",")]
+        if "" in parts:
+            raise ValueError(f"empty entry in spec {text!r}")
         try:
             return tuple(int(p) for p in parts)
         except ValueError:

@@ -1,7 +1,7 @@
 """Lobachevsky function, ideal bipyramid volumes, and volume bounds.
 
-Everything here is plain float64 arithmetic, but the quadrature is accurate
-to a few ulps, well inside the advertised 1e-12 absolute error:
+Everything here is plain float64 arithmetic; each value is a ``Real`` whose
+``abs_err`` bounds its error, rounding and the constants' errors included:
 
 * ``lobachevsky`` reduces its argument to [-pi/2, pi/2] (the function is odd
   and pi-periodic), splits off the logarithmic endpoint singularity in closed
@@ -13,10 +13,10 @@ to a few ulps, well inside the advertised 1e-12 absolute error:
   (n = 4 gives the regular ideal octahedron).  Its claimed error grows with
   n, since L(pi/2 - pi/n) ~ (pi/n) log 2 is a difference of two O(1) terms
   that is then multiplied by n.
-* The upper bounds for alternating links: the bipyramid face-sum bound and
-  its logarithmic closed form, the twist-number bound 10*v4*(t-1), and the
-  Montesinos bound 2*v8*t.  The determinant lower bound 2*gamma^(t-1) is the
-  matching combinatorial statement.
+* The upper bounds for alternating links: Adams' bipyramid bound over the
+  faces but the two largest, its logarithmic form 2*pi*sum log(n/2), the
+  twist-number bound 10*v4*(t-1), and the Montesinos bound 2*v8*t.  The
+  determinant lower bound 2*gamma^(t-1) is the matching combinatorial statement.
 """
 
 from __future__ import annotations
@@ -144,9 +144,9 @@ class FaceVector:
         return sum(n * b for n, b in self.counts.items())
 
     def two_largest(self) -> tuple[int, int]:
-        """The two largest face sizes available as distinct faces."""
-        if self.total_faces < 2:
-            raise ValueError("need at least two faces")
+        """The two largest faces, which the Adams bounds remove; raises for a monogon."""
+        if self.total_faces < 2 or 1 in self.counts:
+            raise ValueError("need two faces and no monogon, as in a reduced diagram")
         sizes = sorted(self.counts)
         r = sizes[-1]
         s = r if self.counts[r] >= 2 else sizes[-2]
@@ -161,24 +161,14 @@ class FaceVector:
         return f"FaceVector({self.counts})"
 
 
-def _check_two_faces(faces: FaceVector, r: int, s: int) -> None:
-    counts = faces.counts
-    if r not in counts or s not in counts:
-        raise ValueError(f"face sizes {r}, {s} not both present")
-    if r == s and counts[r] < 2:
-        raise ValueError(f"only one face of size {r}; need two distinct faces")
-    if min(counts) < 2:
-        raise ValueError("diagram has a monogon face; not reduced")
-
-
-def adams_bound_exact(faces: FaceVector, r: int, s: int) -> Real:
-    """Bipyramid volume bound: sum b_n vol(B_n) minus two chosen faces r, s.
+def adams_bound_exact(faces: FaceVector) -> Real:
+    """Bipyramid volume bound: sum b_n vol(B_n) minus the two largest faces.
 
     The claimed error adds up the claimed errors of all sum b_n + 2 volumes,
     plus an ulp of the sum for the rounding of each product b_n vol(B_n), of
     the ``fsum`` and of the subtraction.
     """
-    _check_two_faces(faces, r, s)
+    r, s = faces.two_largest()
     vols = [(b, bipyramid_volume(n)) for n, b in faces.counts.items()]
     vol_r, vol_s = bipyramid_volume(r), bipyramid_volume(s)
     total = math.fsum(b * vol.value for b, vol in vols)
@@ -187,30 +177,33 @@ def adams_bound_exact(faces: FaceVector, r: int, s: int) -> Real:
     return Real(v, err + (len(vols) + 2) * math.ulp(total))
 
 
-def adams_bound_log(faces: FaceVector, r: int, s: int) -> Real:
-    """Closed-form bound 2*pi*log(prod n^b_n / 2^m * 4/(r*s)) for chosen faces r, s.
+def adams_bound_log(faces: FaceVector) -> Real:
+    """Closed form 2*pi*sum b_n log(n/2) over the faces but the two largest.
 
-    ``faces.two_largest()`` gives the r, s that minimize the bound.
+    One term per face size, each >= 0: bigons add exactly 0 and nothing
+    cancels.  Each log is within an ulp, so all sum b_n copies are within 2
+    ulp of the sum; each product, the ``fsum`` and 2*pi round once more.
     """
-    _check_two_faces(faces, r, s)
-    m = faces.total_faces
-    logp = math.fsum(b * math.log(n) for n, b in faces.counts.items())
-    v = TWO_PI * (logp - m * math.log(2.0) + math.log(4.0) - math.log(r) - math.log(s))
-    return Real(v, 1e-9)
+    r, s = faces.two_largest()
+    terms = [(b - (n == r) - (n == s)) * math.log(n / 2) for n, b in faces.counts.items()]
+    total = math.fsum(terms)
+    return Real(TWO_PI * total, TWO_PI * (len(terms) + 5) * math.ulp(total))
 
 
 def lackenby_bound(t: int) -> Real:
-    """Twist-number volume bound 10*v4*(t-1)."""
+    """Twist-number volume bound 10*v4*(t-1), with 10(t-1) times v4's error."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return Real(10.0 * V4.value * (t - 1), 1e-9)
+    v = 10.0 * V4.value * (t - 1)
+    return Real(v, 10 * (t - 1) * V4.abs_err + 2 * math.ulp(v))
 
 
 def montesinos_bound(t: int) -> Real:
-    """Montesinos-link volume bound 2*v8*t."""
+    """Montesinos-link volume bound 2*v8*t, with 2t times v8's error."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return Real(2.0 * V8.value * t, 1e-9)
+    v = 2.0 * V8.value * t
+    return Real(v, 2 * t * V8.abs_err + 2 * math.ulp(v))
 
 
 def stoimenow_lower_bound(t: int) -> Real:
@@ -218,9 +211,12 @@ def stoimenow_lower_bound(t: int) -> Real:
     if t < 1:
         raise ValueError("t must be >= 1")
     try:
-        return Real(2.0 * GAMMA.value ** (t - 1), 1e-9)
+        v = 2.0 * GAMMA.value ** (t - 1)
     except OverflowError:
-        return Real(math.inf, 1e-9)
+        v = math.inf
+    # gamma's relative error compounds over t-1 factors; pow and doubling round once each
+    rel = math.expm1((t - 1) * math.log1p(GAMMA.abs_err / GAMMA.value))
+    return Real(v, v * rel + 2 * math.ulp(v))
 
 
 def _gamma_root() -> float:

@@ -116,9 +116,8 @@ def bound_report(spec: FamilySpec, d: int, cf: fam.ClosedForm) -> BoundReport:
     bounds: dict[str, float] = {}
     best, margin, verdict = None, None, "vacuous"
     if not cf.nonhyperbolic:
-        r, s = cf.faces.two_largest()
-        bounds["adams_exact"] = adams_bound_exact(cf.faces, r, s).value
-        bounds["adams_log"] = adams_bound_log(cf.faces, r, s).value
+        bounds["adams_exact"] = adams_bound_exact(cf.faces).value
+        bounds["adams_log"] = adams_bound_log(cf.faces).value
         bounds["lackenby"] = lackenby_bound(cf.twist_count).value
         if isinstance(spec, Pretzel):
             bounds["montesinos"] = montesinos_bound(cf.twist_count).value

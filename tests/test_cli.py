@@ -211,6 +211,23 @@ class TestSweep:
         assert lines[0].startswith("spec,family,")
         assert len(lines) == 2 ** 4  # header + 15 sequences
 
+    def test_one_inconclusive_row_exits_2(self, capsys, monkeypatch):
+        real_bound_report = verify.bound_report
+        flipped = []
+
+        def fake_bound_report(spec, d, cf):
+            r = real_bound_report(spec, d, cf)
+            if r.verdict == "holds" and not flipped:
+                flipped.append(spec)
+                return dataclasses.replace(r, verdict="bound_inconclusive", margin=-0.5)
+            return r
+
+        monkeypatch.setattr(verify, "bound_report", fake_bound_report)
+        code, out, _ = run(capsys, "sweep", "--family", "R", "--sum-max", "4")
+        assert code == 2
+        assert len(flipped) == 1
+        assert out.count("bound_inconclusive") == 1
+
     def test_table(self, capsys):
         code, out, _ = run(capsys, "sweep", "--family", "W", "--sum-max", "9")
         assert code == 0

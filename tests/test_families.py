@@ -356,8 +356,7 @@ class TestDiagrams:
 
         for a in compositions_upto(9, min_len=2):
             d = to_diagram(TwoBridge(a))
-            r, s = d.faces.two_largest()
-            al = adams_bound_log(d.faces, r, s).value
+            al = adams_bound_log(d.faces).value
             assert al <= TWO_PI * math.log(v_function(a)) + 1e-9, a
             assert al <= twobridge_vol_upper(a).value + 1e-9, a
 
@@ -373,9 +372,8 @@ class TestDiagrams:
             if closed_form(spec).nonhyperbolic:
                 continue
             faces = to_diagram(spec).faces
-            r, s = faces.two_largest()
-            ae = adams_bound_exact(faces, r, s).value
-            al = adams_bound_log(faces, r, s).value
+            ae = adams_bound_exact(faces).value
+            al = adams_bound_log(faces).value
             assert ae <= al + 1e-9, a
             assert al <= TWO_PI * math.log(v_function(spec.flat)) + 1e-9, a
 
@@ -457,7 +455,8 @@ class TestSpecSyntax:
         assert parse_spec(" R( 3 , 3 , 2 ) ") == TwoBridge((3, 3, 2))
 
     def test_errors(self):
-        for bad in ["", "Q(1)", "R()", "B(1,2,3)", "W(2,3)", "R(1,x)", "B(1,2;3)"]:
+        for bad in ["", "Q(1)", "R()", "B(1,2,3)", "W(2,3)", "R(1,x)", "B(1,2;3)",
+                    "R(1,,2)", "P(2,3,7,)", "B(1,2;3,)"]:
             with pytest.raises(ValueError):
                 parse_spec(bad)
 

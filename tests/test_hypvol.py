@@ -9,7 +9,7 @@ import sys
 import mpmath as mp
 import pytest
 
-from detvol.families import Weaving4, closed_form
+from detvol.families import TwoBridge, Weaving4, closed_form, parse_spec
 from detvol.hypvol import (
     GAMMA,
     TWO_PI,
@@ -26,6 +26,7 @@ from detvol.hypvol import (
     montesinos_bound,
     stoimenow_lower_bound,
 )
+from oracles import compositions_upto
 
 mp.mp.dps = 30
 
@@ -208,47 +209,69 @@ class TestFaceVector:
 class TestAdamsBounds:
     def test_exact_figure_eight_vector(self):
         fv = FaceVector({2: 2, 3: 4})
-        v = adams_bound_exact(fv, 3, 3).value
+        v = adams_bound_exact(fv).value
         assert abs(v - 2 * bipyramid_volume(3).value) < 1e-12
         assert abs(v - 4.0599) < 1e-3
 
     def test_exact_two_faces_cancel(self):
-        assert abs(adams_bound_exact(FaceVector({3: 1, 5: 1}), 3, 5).value) < 1e-12
+        assert abs(adams_bound_exact(FaceVector({3: 1, 5: 1})).value) < 1e-12
 
     def test_exact_weaving_one(self):
         fv = FaceVector({3: 2, 4: 1})
-        v = adams_bound_exact(fv, 3, 4).value
+        v = adams_bound_exact(fv).value
         assert abs(v - bipyramid_volume(3).value) < 1e-12
 
     def test_exact_validates_faces(self):
-        fv = FaceVector({2: 2, 3: 1})
         with pytest.raises(ValueError):
-            adams_bound_exact(fv, 3, 3)  # only one 3-face
-        with pytest.raises(ValueError):
-            adams_bound_exact(fv, 3, 5)  # 5 absent
+            adams_bound_exact(FaceVector({5: 1}))  # fewer than two faces
 
     def test_exact_error_grows_with_face_count(self):
         # W(300000) sums 900,002 volumes and subtracts two, each claimed to
         # 1e-12; the two 300000-gons cancel, leaving 600000 vol(B_3) +
         # 300000 vol(B_4)
         fv = closed_form(Weaving4(300000)).faces
-        r, s = fv.two_largest()
-        bound = adams_bound_exact(fv, r, s)
+        bound = adams_bound_exact(fv)
         assert bound.abs_err >= (fv.total_faces + 2) * 1e-12
 
         def vol(n):
             return n * (mp.clsin(2, 4 * mp.pi / n) / 2 + mp.clsin(2, mp.pi * (n - 2) / n))
 
         assert abs(bound.value - float(600000 * vol(3) + 300000 * vol(4))) <= bound.abs_err
-        assert adams_bound_exact(FaceVector({2: 2, 3: 4}), 3, 3).abs_err < 1e-10
+        assert adams_bound_exact(FaceVector({2: 2, 3: 4})).abs_err < 1e-10
 
     def test_log_figure_eight(self):
-        v = adams_bound_log(FaceVector({2: 2, 3: 4}), 3, 3).value
+        v = adams_bound_log(FaceVector({2: 2, 3: 4})).value
         assert abs(v - TWO_PI * math.log(9 / 4)) < 1e-12
 
     def test_log_all_bigon_interior(self):
         for k in (1, 3, 7):
-            assert abs(adams_bound_log(FaceVector({2: k, 3: 2}), 3, 3).value) < 1e-12
+            assert abs(adams_bound_log(FaceVector({2: k, 3: 2})).value) < 1e-12
+
+    @pytest.mark.parametrize("faces", [
+        "R(3,4503599627370496,3)", "B(2,1000000000000,3,5)", "P(2,3,1000000000001)",
+        "W(1000000)", {2: 2, 3: 4},
+    ], ids=str)
+    def test_log_within_claimed_error(self, faces):
+        # huge bigon counts and huge largest faces, where a sum over all
+        # faces minus m*log(2) cancelled to an error near 1
+        fv = FaceVector(faces) if isinstance(faces, dict) else closed_form(parse_spec(faces)).faces
+        sizes = sorted(fv.counts, reverse=True)
+        r = sizes[0]
+        s = r if fv.counts[r] > 1 else sizes[1]
+        bound = adams_bound_log(fv)
+        with mp.workdps(50):
+            exact = 2 * mp.pi * (
+                mp.fsum(b * mp.log(mp.mpf(n) / 2) for n, b in fv.counts.items())
+                - mp.log(mp.mpf(r) / 2) - mp.log(mp.mpf(s) / 2)
+            )
+            assert abs(mp.mpf(bound.value) - exact) <= bound.abs_err
+        assert bound.abs_err <= 1e-14 * max(bound.value, 1.0)
+
+    def test_log_nonnegative(self):
+        for a in compositions_upto(12):
+            cf = closed_form(TwoBridge(a))
+            if not cf.nonhyperbolic:
+                assert adams_bound_log(cf.faces).value >= 0.0, a
 
     def test_exact_below_log_same_faces(self):
         # strict whenever a face of size >= 3 survives the removal
@@ -261,15 +284,46 @@ class TestAdamsBounds:
         ]
         for counts in vectors:
             fv = FaceVector(counts)
-            r, s = fv.two_largest()
-            assert adams_bound_exact(fv, r, s).value < adams_bound_log(fv, r, s).value
+            assert adams_bound_exact(fv).value < adams_bound_log(fv).value
 
     def test_rejects_monogons(self):
         with pytest.raises(ValueError):
-            adams_bound_log(FaceVector({1: 2, 2: 1}), 2, 1)
+            adams_bound_log(FaceVector({1: 2, 2: 1}))
+
+
+def _v4_v8_gamma():
+    """The three constants at mpmath's working precision."""
+    return (
+        3 * mp.clsin(2, 2 * mp.pi / 3) / 2,
+        4 * mp.catalan,
+        mp.findroot(lambda x: x ** -5 + 2 * x ** -4 + x ** -3 - 1, 1.4253),
+    )
 
 
 class TestTwistBounds:
+    # each claimed error must bound the true error at twist counts where a
+    # flat 1e-9 did not: the constants' errors scale with t
+    @pytest.mark.parametrize("t", [10**6, 3 * 10**6])
+    def test_lackenby_within_claimed_error(self, t):
+        bound = lackenby_bound(t)
+        with mp.workdps(50):
+            v4, _, _ = _v4_v8_gamma()
+            assert abs(bound.value - 10 * v4 * (t - 1)) <= bound.abs_err
+
+    def test_montesinos_within_claimed_error(self):
+        t = 3 * 10**6
+        bound = montesinos_bound(t)
+        with mp.workdps(50):
+            _, v8, _ = _v4_v8_gamma()
+            assert abs(bound.value - 2 * v8 * t) <= bound.abs_err
+
+    @pytest.mark.parametrize("t", [45, 100, 2000])
+    def test_stoimenow_within_claimed_error(self, t):
+        bound = stoimenow_lower_bound(t)
+        with mp.workdps(50):
+            _, _, gamma = _v4_v8_gamma()
+            assert abs(bound.value - 2 * gamma ** (t - 1)) <= bound.abs_err
+
     def test_lackenby(self):
         assert lackenby_bound(1).value == 0.0
         assert abs(lackenby_bound(2).value - 10.1494) < 1e-3

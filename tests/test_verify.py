@@ -450,10 +450,10 @@ class TestSerialization:
 # first 12 hex digits of SHA-256 of the serialized sweep (CSV, JSON); a change
 # that moves an output on purpose updates these and lists what moved
 SWEEP_PINS = {
-    ("R", 10, 40): ("6533d8d562f1", "0087a9f7b8d1"),
-    ("B", 10, 40): ("a7df0f75ea68", "b706b49a942b"),
-    ("P", 10, 40): ("c3870d490e03", "bfc9ac09cc6d"),
-    ("W", 60, 60): ("f79c19543b94", "6df119279c7b"),
+    ("R", 10, 40): ("26ed54cf7918", "913a0f78e54c"),
+    ("B", 10, 40): ("fb345d94292b", "bb61afa861f2"),
+    ("P", 10, 40): ("a646531f7788", "4a4917543096"),
+    ("W", 60, 60): ("25938a477f2b", "0e4b0fd3ee2c"),
 }
 
 
