@@ -62,7 +62,6 @@ def _build_parser() -> _Parser:
     e = sub.add_parser("enumerate", help="pretzel enumeration up to a twist-region count")
     e.add_argument("--t-max", type=int, default=6)
     e.add_argument("--t-min", type=int, default=3)
-    e.add_argument("--rule", default="montesinos", choices=("general", "montesinos"))
     e.add_argument("--oracle-cap", **oracle_cap)
     e.set_defaults(handler=cmd_enumerate)
 
@@ -140,12 +139,7 @@ def cmd_enumerate(args) -> int:
             "expect a long run",
             file=sys.stderr,
         )
-    report = verify.enumerate_pretzels(
-        args.t_max,
-        t_min=args.t_min,
-        oracle_cap=args.oracle_cap,
-        rule=args.rule,
-    )
+    report = verify.enumerate_pretzels(args.t_max, t_min=args.t_min, oracle_cap=args.oracle_cap)
     print(report.summary())
     for arr, margin in report.violations[:MAX_VIOLATION_LINES]:
         print(f"  VIOLATION {fam.Pretzel(arr)}: margin {margin:.6g}")

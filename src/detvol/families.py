@@ -124,7 +124,9 @@ def twobridge_vol_upper(a) -> Real:
     """End-corrected volume bound for a 2-bridge link with >= 2 twist regions.
 
     2*pi*log((a1+1)(an+1)/4 * prod_middle (ai+2)/2); always at most
-    2*pi*log V(a).
+    2*pi*log V(a).  Every log and partial sum is at most log V + log 4, so
+    each of the 2n - 1 logs and 2n - 2 sums is within an ulp of that; 2*pi
+    and its product add two ulp of the value.
     """
     a = tuple(a)
     _check_entries(a)
@@ -133,7 +135,8 @@ def twobridge_vol_upper(a) -> Real:
     logv = math.log(a[0] + 1) + math.log(a[-1] + 1) - math.log(4.0)
     for x in a[1:-1]:
         logv += math.log(x + 2) - math.log(2.0)
-    return Real(TWO_PI * logv, 1e-9)
+    v = TWO_PI * logv
+    return Real(v, TWO_PI * 4 * len(a) * math.ulp(abs(logv) + 2.0) + 2 * math.ulp(v))
 
 
 def threebraid_det(pairs) -> int:

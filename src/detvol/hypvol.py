@@ -54,10 +54,7 @@ class Real:
     """A float together with a claimed absolute error bound."""
 
     value: float
-    abs_err: float = 1e-12
-
-    def __float__(self):
-        return self.value
+    abs_err: float
 
 
 def lobachevsky(theta: float) -> Real:

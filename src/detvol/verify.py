@@ -151,17 +151,15 @@ def high_twist_threshold(t: int, rule: str = "general") -> float:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    # exp(x), xi^(t-1) or zeta^t, outgrows 2*gamma^(t-1): inf past the float range
-    x = _rule_bound(t, rule) / TWO_PI
-    return t + math.exp(x) - stoimenow_lower_bound(t).value if x < 709.78 else math.inf
-
-
-def _rule_bound(t: int, rule: str) -> float:
     if rule == "general":
-        return lackenby_bound(t).value
-    if rule == "montesinos":
-        return montesinos_bound(t).value
-    raise ValueError(f"unknown rule {rule!r}")
+        bound = lackenby_bound(t)
+    elif rule == "montesinos":
+        bound = montesinos_bound(t)
+    else:
+        raise ValueError(f"unknown rule {rule!r}")
+    # exp(x), xi^(t-1) or zeta^t, outgrows 2*gamma^(t-1): inf past the float range
+    x = bound.value / TWO_PI
+    return t + math.exp(x) - stoimenow_lower_bound(t).value if x < 709.78 else math.inf
 
 
 def stoimenow_certificate(t: int, c: int, rule: str = "general") -> bool:
@@ -242,19 +240,20 @@ def enumerate_pretzels(
     t_max: int,
     t_min: int = 3,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
-    rule: str = "montesinos",
 ) -> EnumerationReport:
     """Check every alternating pretzel with t_min..t_max twist regions.
 
     Tuples are canonicalized as sorted multisets (the determinant is
-    symmetric).  Once 2*pi*log(det) exceeds the rule's volume bound for n
+    symmetric).  Once 2*pi*log(det) exceeds the Montesinos bound 2*v8*n for n
     twist regions at a tuple, every coordinatewise-larger tuple passes too
     (the actual twist count never exceeds n), so only the multisets below the
-    minimal frontier are visited.  Each of those goes through
-    ``oracle_check`` once when it is under the oracle cap, and is expanded
-    into its distinct cyclic arrangements, since face sizes and twist counts
-    depend on the cyclic order; an arrangement that the Stoimenow certificate
-    does not already settle gets its verdict and margin from ``bound_report``.
+    minimal frontier are visited.  Each of those is expanded into its
+    distinct cyclic arrangements, since face sizes and twist counts depend on
+    the cyclic order.  The first arrangement is the sorted multiset itself:
+    it alone goes through ``oracle_check`` when it is under the oracle cap,
+    and it is the only arrangement of the one vacuous multiset, all ones.  An
+    arrangement that the Stoimenow certificate for Montesinos links does not
+    already settle gets its verdict and margin from ``bound_report``.
     """
     if t_max < 3:
         raise ValueError("t_max must be >= 3 (smaller pretzels are 2-bridge)")
@@ -266,22 +265,21 @@ def enumerate_pretzels(
     start = time.perf_counter()
 
     for n in range(t_min, t_max + 1):
-        log_threshold = _rule_bound(n, rule) / TWO_PI  # det above e^this certifies
+        log_threshold = montesinos_bound(n).value / TWO_PI  # det above e^this certifies
 
         def process(tup: tuple[int, ...], d: int) -> None:
-            # explicit check of a sorted multiset of determinant d, all arrangements
-            spec = Pretzel(tup)
-            cf = fam.closed_form(spec)
-            if cf.nonhyperbolic:
-                report.vacuous += 1
-                return
-            if cf.crossing_count <= oracle_cap:
-                oracle_check(spec, d, cf)
-                report.oracle_checked += 1
+            # explicit check of a sorted multiset of determinant d, all
+            # arrangements; the first is tup itself
             for arr in canonical_arrangements(tup):
                 spec = Pretzel(arr)
                 cf = fam.closed_form(spec)
-                if stoimenow_certificate(cf.twist_count, sum(arr), rule):
+                if cf.nonhyperbolic:  # all ones, the only arrangement
+                    report.vacuous += 1
+                    return
+                if arr == tup and cf.crossing_count <= oracle_cap:
+                    oracle_check(spec, d, cf)
+                    report.oracle_checked += 1
+                if stoimenow_certificate(cf.twist_count, sum(arr), "montesinos"):
                     report.certified_stoimenow += 1
                     continue
                 r = bound_report(spec, d, cf)

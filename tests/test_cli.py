@@ -323,7 +323,7 @@ class TestUsage:
     OPTIONS = {
         "check": ["spec", "--format", "--precision", "--oracle-cap"],
         "constants": ["--precision"],
-        "enumerate": ["--t-max", "--t-min", "--rule", "--oracle-cap"],
+        "enumerate": ["--t-max", "--t-min", "--oracle-cap"],
         "sweep": ["--family", "--sum-max", "--format", "--workers", "--oracle-cap"],
         "pd": ["file"],
     }
@@ -356,7 +356,8 @@ class TestUsage:
         ["check"],
         ["enumerate", "--t-max", "abc"],
         ["sweep", "--family", "X", "--sum-max", "3"],
-    ], ids=["no-spec", "bad-int", "bad-choice"])
+        ["enumerate", "--rule", "general"],
+    ], ids=["no-spec", "bad-int", "bad-choice", "removed-rule"])
     def test_usage_error_exits_1(self, capsys, argv):
         # 2 is the bound_inconclusive code, not argparse's usage error
         code, out, err = usage_error(capsys, *argv)

@@ -2,9 +2,11 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import mpmath as mp
 import pytest
 
 from detvol import families as fam
@@ -86,6 +88,23 @@ class TestTwoBridgeVolUpper:
     def test_rejects_single(self):
         with pytest.raises(ValueError):
             twobridge_vol_upper([5])
+
+    @pytest.mark.parametrize("a", [
+        (2, 3, 7, 1, 4),
+        (1,) * 100000,
+        (3,) + (1,) * 300000 + (3,),
+    ], ids=["short", "ones-100000", "3-ones-300000-3"])
+    def test_within_claimed_error(self, a):
+        # one rounded log per entry: the error grows with the length
+        bound = twobridge_vol_upper(a)
+        middle = Counter(a[1:-1])
+        with mp.workdps(50):
+            exact = 2 * mp.pi * (
+                mp.log(a[0] + 1) + mp.log(a[-1] + 1) - mp.log(4)
+                + mp.fsum(k * mp.log(mp.mpf(x + 2) / 2) for x, k in middle.items())
+            )
+            assert abs(mp.mpf(bound.value) - exact) <= bound.abs_err
+        assert bound.abs_err <= 1e-14 * len(a) * max(bound.value, 1.0)
 
 
 class TestThreeBraidDet:

@@ -262,6 +262,21 @@ class TestEnumerate:
         with pytest.raises(RuntimeError, match=r"face data mismatch for P\(1,2,3\)"):
             enumerate_pretzels(3)
 
+    def test_closed_form_once_per_arrangement(self, monkeypatch):
+        # one record per arrangement, plus one per vacuous multiset: the
+        # sorted multiset is its own first arrangement and carries the oracle
+        real_closed_form = families.closed_form
+        calls = []
+
+        def spy(spec):
+            calls.append(spec)
+            return real_closed_form(spec)
+
+        monkeypatch.setattr(families, "closed_form", spy)
+        report = enumerate_pretzels(5)
+        arrangements = report.checked + report.certified_stoimenow
+        assert len(calls) == arrangements + report.vacuous == 1382
+
     def test_margins_match_check(self, monkeypatch):
         real_bound_report = verify.bound_report
         seen = []
