@@ -187,16 +187,24 @@ def adams_bound_log(faces: FaceVector) -> Real:
     return Real(TWO_PI * total, TWO_PI * (len(terms) + 5) * math.ulp(total))
 
 
+@lru_cache(maxsize=4096)
 def lackenby_bound(t: int) -> Real:
-    """Twist-number volume bound 10*v4*(t-1), with 10(t-1) times v4's error."""
+    """Twist-number volume bound 10*v4*(t-1), with 10(t-1) times v4's error.
+
+    Memoized like ``bipyramid_volume``; a rejected t raises on every call.
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
     v = 10.0 * V4.value * (t - 1)
     return Real(v, 10 * (t - 1) * V4.abs_err + 2 * math.ulp(v))
 
 
+@lru_cache(maxsize=4096)
 def montesinos_bound(t: int) -> Real:
-    """Montesinos-link volume bound 2*v8*t, with 2t times v8's error."""
+    """Montesinos-link volume bound 2*v8*t, with 2t times v8's error.
+
+    Memoized like ``bipyramid_volume``; a rejected t raises on every call.
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
     v = 2.0 * V8.value * t

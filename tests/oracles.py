@@ -1,4 +1,4 @@
-"""Test helpers: independent spanning-tree counts, a closed form, and writers.
+"""Test helpers: independent spanning-tree counts, arrangements, a closed form, writers.
 
 ``detvol`` counts spanning trees one way, by matrix-tree with Bareiss
 elimination.  The tests check that count against two routines that share no
@@ -6,6 +6,9 @@ code with it:
 
 * brute-force enumeration of edge subsets (small graphs only);
 * deletion-contraction recursion.
+
+``detvol`` generates bracelets of fixed content directly; the tests check it
+against ``canonical_arrangements_by_permutation``, which walks every ordering.
 
 Edges are identified by their index in the edge list, which is what
 ``delete`` and ``contract`` operate on.
@@ -162,3 +165,30 @@ def spanning_tree_count_deletion_contraction(g: Multigraph) -> int:
         return without + mult * contracted
 
     return rec(g.vertex_count, list(g.edges))
+
+
+def canonical_arrangements_by_permutation(multiset):
+    """Reference: least members of the dihedral classes, by walking orderings.
+
+    The least member of a class starts with the least entry, so only the
+    orderings of the rest are walked (in lexicographic order, by the standard
+    next-permutation step), and an ordering is yielded when none of its 2n
+    rotations and reflections is smaller.
+    """
+    a = sorted(multiset)
+    n = len(a)
+    while True:
+        arr = tuple(a)
+        if all(arr <= s[k:] + s[:k] for s in (arr, arr[::-1]) for k in range(n)):
+            yield arr
+        # next permutation of a[1:]: raise the last ascent, reverse the tail
+        i = n - 2
+        while i >= 1 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 1:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])

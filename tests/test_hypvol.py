@@ -337,6 +337,14 @@ class TestTwistBounds:
         with pytest.raises(ValueError):
             montesinos_bound(0)
 
+    @pytest.mark.parametrize("bound", [lackenby_bound, montesinos_bound])
+    def test_memoized(self, bound):
+        assert bound(7) is bound(7)
+        # a raised error is not cached, so t = 0 raises every time
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                bound(0)
+
     def test_stoimenow(self):
         assert stoimenow_lower_bound(1).value == 2.0
         assert abs(stoimenow_lower_bound(2).value - 2 * GAMMA.value) < 1e-12

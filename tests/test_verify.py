@@ -29,6 +29,7 @@ from detvol.verify import (
     sweep,
     sweep_specs,
 )
+from oracles import canonical_arrangements_by_permutation
 
 
 class TestCheck:
@@ -157,6 +158,13 @@ class TestThresholds:
         with pytest.raises(ValueError):
             high_twist_threshold(2, "nonsense")
 
+    def test_memoized(self):
+        assert high_twist_threshold(7, "montesinos") is high_twist_threshold(7, "montesinos")
+        # a raised error is not cached, so a bad argument raises every time
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                high_twist_threshold(0)
+
 
 class TestStoimenowCertificate:
     def test_t1_always(self):
@@ -226,6 +234,25 @@ def test_canonical_arrangements_match_brute_force():
         for multiset in itertools.combinations_with_replacement(range(1, 5), n):
             expected = sorted({_least_form(p) for p in set(itertools.permutations(multiset))})
             assert list(canonical_arrangements(multiset)) == expected, multiset
+
+
+def test_canonical_arrangements_match_reference():
+    for n in range(10):
+        for multiset in itertools.combinations_with_replacement(range(1, 5), n):
+            expected = list(canonical_arrangements_by_permutation(multiset))
+            assert list(canonical_arrangements(multiset)) == expected, multiset
+
+
+def test_canonical_arrangements_long_input():
+    # one step per loop iteration, not one frame per position
+    first = next(canonical_arrangements((1,) * 5000 + (2,)))
+    assert first == (1,) * 5000 + (2,)
+
+
+def test_canonical_arrangements_degenerate():
+    assert list(canonical_arrangements(())) == [()]
+    assert list(canonical_arrangements((7,))) == [(7,)]
+    assert list(canonical_arrangements((3,) * 6)) == [(3,) * 6]
 
 
 class TestEnumerate:
