@@ -114,23 +114,23 @@ class PDCode:
         return faces
 
 
+def _root(parent: dict[int, int], x: int) -> int:
+    """The root of x in a forest stored as child -> parent; a root has no entry."""
+    while x in parent:
+        x = parent[x]
+    return x
+
+
 def _classes(n: int, groups) -> int:
     """Classes of crossings 0..n-1 when the crossings of each dart group are joined."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent: dict[int, int] = {}
     for group in groups:
-        root = find(group[0] // 4)
+        root = _root(parent, group[0] // 4)
         for d in group[1:]:
-            r = find(d // 4)
+            r = _root(parent, d // 4)
             if r != root:
                 parent[r] = root
-    return sum(parent[i] == i for i in range(n))
+    return n - len(parent)  # each join gives one crossing a parent
 
 
 def faces(pd: PDCode) -> FaceVector:
@@ -220,17 +220,11 @@ def _walk(arc: list[int], word: list[int]) -> list[tuple[int, int, int, int]]:
 def _closed(crossings, joins) -> PDCode:
     """The PD code of ``crossings`` once each label pair in ``joins`` is one arc."""
     ident: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while x in ident:
-            x = ident[x]
-        return x
-
     for x, y in joins:
-        fx, fy = find(x), find(y)
+        fx, fy = _root(ident, x), _root(ident, y)
         if fx != fy:
             ident[fx] = fy
-    g = {x: find(x) for x in ident}.get
+    g = {x: _root(ident, x) for x in ident}.get
     return PDCode([(g(a, a), g(b, b), g(c, c), g(d, d)) for a, b, c, d in crossings])
 
 

@@ -267,7 +267,7 @@ class EnumerationReport:
 
 # enumerate_pretzels keeps at most this many frontier corners in its report
 FRONTIER_LIMIT = 10000
-# largest t_max enumerate_pretzels accepts; its search recurses once per twist region
+# largest t_max enumerate_pretzels accepts
 MAX_ENUMERATION_T = 200
 
 
@@ -282,13 +282,19 @@ def enumerate_pretzels(
     symmetric).  Once 2*pi*log(det) exceeds the Montesinos bound 2*v8*n for n
     twist regions at a tuple, every coordinatewise-larger tuple passes too
     (the actual twist count never exceeds n), so only the multisets below the
-    minimal frontier are visited.  Each of those is expanded into its
-    distinct cyclic arrangements, since face sizes and twist counts depend on
-    the cyclic order.  The first arrangement is the sorted multiset itself:
-    it alone goes through ``oracle_check`` when it is under the oracle cap,
-    and it is the only arrangement of the one vacuous multiset, all ones.  An
-    arrangement that the Stoimenow certificate for Montesinos links does not
-    already settle gets its verdict and margin from ``bound_report``.
+    minimal frontier are visited.  For each n one loop walks them in
+    lexicographic order, one determinant per step, with the entries from
+    a[level] on all equal.  Below the frontier a multiset is checked and its
+    last entry raised.  A frontier corner certifies every later multiset
+    that keeps a[:level], so the walk backs up one level and sets the
+    entries from a[level - 1] on to a[level - 1] + 1.  Each multiset below
+    the frontier is expanded into its distinct cyclic arrangements, since
+    face sizes and twist counts depend on the cyclic order.  The first
+    arrangement is the sorted multiset itself: it alone goes through
+    ``oracle_check`` when it is under the oracle cap, and it is the only
+    arrangement of the one vacuous multiset, all ones.  An arrangement that
+    the Stoimenow certificate for Montesinos links does not already settle
+    gets its verdict and margin from ``bound_report``.
     """
     if t_max < 3:
         raise ValueError("t_max must be >= 3 (smaller pretzels are 2-bridge)")
@@ -301,47 +307,39 @@ def enumerate_pretzels(
 
     for n in range(t_min, t_max + 1):
         log_threshold = montesinos_bound(n).value / TWO_PI  # det above e^this certifies
-
-        def process(tup: tuple[int, ...], d: int) -> None:
-            # explicit check of a sorted multiset of determinant d, all
-            # arrangements; the first is tup itself
+        # the sorted multiset a, whose entries from a[level] on are all equal
+        a, level = [1] * n, 0
+        while level >= 0:
+            tup = tuple(a)
+            d = fam.pretzel_det(tup)
+            if math.log(d) > log_threshold + 1e-12:
+                # a frontier corner: raise a[level - 1] and every entry after it
+                report.certified_monotone += 1
+                if len(report.frontier) < FRONTIER_LIMIT:
+                    report.frontier.append(tup)
+                level -= 1
+                if level >= 0:
+                    a[level:] = [a[level] + 1] * (n - level)
+                continue
+            # below the frontier: check every arrangement, the first being tup
             for arr in canonical_arrangements(tup):
                 spec = Pretzel(arr)
                 cf = fam.closed_form(spec)
                 if cf.nonhyperbolic:  # all ones, the only arrangement
                     report.vacuous += 1
-                    return
+                    break
                 if arr == tup and cf.crossing_count <= oracle_cap:
                     oracle_check(spec, d, cf)
                     report.oracle_checked += 1
-                if stoimenow_certificate(cf.twist_count, sum(arr), "montesinos"):
+                if stoimenow_certificate(cf.twist_count, cf.crossing_count, "montesinos"):
                     report.certified_stoimenow += 1
                     continue
                 r = bound_report(spec, d, cf)
                 report.checked += 1
                 if r.verdict != "holds":
                     report.violations.append((arr, r.margin))
-
-        def rec(prefix: list[int], min_val: int) -> None:
-            pos = len(prefix)
-            v = min_val
-            while True:
-                corner = tuple(prefix) + (v,) * (n - pos)
-                d = fam.pretzel_det(corner)
-                if math.log(d) > log_threshold + 1e-12:
-                    report.certified_monotone += 1
-                    if len(report.frontier) < FRONTIER_LIMIT:
-                        report.frontier.append(corner)
-                    return
-                if pos == n - 1:
-                    process(corner, d)
-                else:
-                    prefix.append(v)
-                    rec(prefix, v)
-                    prefix.pop()
-                v += 1
-
-        rec([], 1)
+            level = n - 1
+            a[-1] += 1
 
     report.elapsed_seconds = time.perf_counter() - start
     return report

@@ -10,15 +10,21 @@ code with it:
 ``detvol`` generates bracelets of fixed content directly; the tests check it
 against ``canonical_arrangements_by_permutation``, which walks every ordering.
 
+``detvol`` walks the multisets below the pretzel frontier in one flat loop;
+the tests check it against ``pretzel_walk_by_recursion``, which recurses once
+per twist region and evaluates a corner again at every deeper level.
+
 Edges are identified by their index in the edge list, which is what
 ``delete`` and ``contract`` operate on.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
-from detvol.families import _lucas_v
+from detvol.families import _lucas_v, pretzel_det
+from detvol.hypvol import TWO_PI, montesinos_bound
 from detvol.multigraph import Multigraph
 
 BRUTE_FORCE_EDGE_LIMIT = 24
@@ -192,3 +198,38 @@ def canonical_arrangements_by_permutation(multiset):
             j -= 1
         a[i], a[j] = a[j], a[i]
         a[i + 1 :] = reversed(a[i + 1 :])
+
+
+def pretzel_walk_by_recursion(n):
+    """Reference: the multisets of n entries below the Montesinos frontier, by recursion.
+
+    Position pos of the sorted multiset runs upward from the entry before it;
+    each step tries the corner that repeats the current value to the end.  A
+    corner with 2*pi*log(det) over the Montesinos bound 2*v8*n is a frontier
+    corner and ends the loop at its position; any other corner is visited at
+    the last position, or handed to the next one.  Returns the frontier
+    corners and the visited multisets with their determinants, in the order
+    the walk reaches them.
+    """
+    log_threshold = montesinos_bound(n).value / TWO_PI
+    frontier, visited = [], []
+
+    def rec(prefix, min_val):
+        pos = len(prefix)
+        v = min_val
+        while True:
+            corner = tuple(prefix) + (v,) * (n - pos)
+            d = pretzel_det(corner)
+            if math.log(d) > log_threshold + 1e-12:
+                frontier.append(corner)
+                return
+            if pos == n - 1:
+                visited.append((corner, d))
+            else:
+                prefix.append(v)
+                rec(prefix, v)
+                prefix.pop()
+            v += 1
+
+    rec([], 1)
+    return frontier, visited

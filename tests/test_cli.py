@@ -140,7 +140,7 @@ class TestEnumerate:
         assert code == 1
 
     def test_t_max_over_limit(self, capsys):
-        # the search recurses once per twist region; this t_max would overflow it
+        # a t_max over MAX_ENUMERATION_T is an input error, refused before any search
         t = verify.MAX_ENUMERATION_T + 900
         code, out, err = run(capsys, "enumerate", "--t-min", str(t), "--t-max", str(t))
         assert code == 1

@@ -29,7 +29,7 @@ from detvol.verify import (
     sweep,
     sweep_specs,
 )
-from oracles import canonical_arrangements_by_permutation
+from oracles import canonical_arrangements_by_permutation, pretzel_walk_by_recursion
 
 
 class TestCheck:
@@ -319,6 +319,50 @@ class TestEnumerate:
         assert len(seen) > 1000
         for spec, margin in seen:
             assert margin == check(spec, oracle_cap=0).margin, spec
+
+    def test_walk_matches_recursive_reference(self, monkeypatch):
+        # the same frontier, and the same multisets expanded in the same order,
+        # each checked with its own determinant
+        real_arrangements = verify.canonical_arrangements
+        real_bound_report = verify.bound_report
+        expanded, dets = [], {}
+
+        def arrangements_spy(multiset):
+            expanded.append(multiset)
+            return real_arrangements(multiset)
+
+        def bound_report_spy(spec, d, cf):
+            dets.setdefault(tuple(sorted(spec.a)), set()).add(d)
+            return real_bound_report(spec, d, cf)
+
+        monkeypatch.setattr(verify, "canonical_arrangements", arrangements_spy)
+        monkeypatch.setattr(verify, "bound_report", bound_report_spy)
+        report = enumerate_pretzels(6)
+        frontier, visited = [], []
+        for n in range(3, 7):
+            f, v = pretzel_walk_by_recursion(n)
+            frontier += f
+            visited += v
+        assert report.frontier == frontier
+        assert expanded == [m for m, _ in visited]
+        assert len(visited) == 1976
+        want = dict(visited)
+        assert dets.keys() <= want.keys() and len(dets) > 1000
+        assert all(ds == {want[m]} for m, ds in dets.items())
+
+    def test_one_determinant_per_step(self, monkeypatch):
+        # one per frontier corner and one per multiset below the frontier
+        visited = sum(len(pretzel_walk_by_recursion(n)[1]) for n in range(3, 7))
+        real_pretzel_det = families.pretzel_det
+        calls = []
+
+        def spy(a):
+            calls.append(a)
+            return real_pretzel_det(a)
+
+        monkeypatch.setattr(families, "pretzel_det", spy)
+        report = enumerate_pretzels(6)
+        assert len(calls) == report.certified_monotone + visited == 230 + 1976
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):
