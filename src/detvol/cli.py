@@ -3,17 +3,18 @@
 Subcommands: check, constants, enumerate, sweep, pd, each with its own
 options after its name.  Exit codes are the machine contract: 0 for
 holds/vacuous, 2 for bound_inconclusive (a check, a sweep with any such row,
-or an enumeration with violations), 1 for input and usage errors.  The check
-table truncates reals to --precision digits and the sweep table to 6;
-csv/json always carry full precision and the determinant as an exact decimal
-string.  Exact integers are printed through ``Decimal``, whose conversion to
-a string is exempt from the interpreter's int-to-str digit limit
-(W(20000)'s determinant has 11k digits).
+or an enumeration with violations), 1 for input and usage errors, 141 when
+stdout's reader closes the pipe.  The check table truncates reals to
+--precision digits and the sweep table to 6; csv/json carry full precision
+and the determinant as an exact decimal string.  Exact integers are printed
+through ``Decimal``, whose conversion to a string is exempt from the
+interpreter's int-to-str digit limit (W(20000)'s determinant has 11k digits).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from decimal import Decimal
 
@@ -25,6 +26,7 @@ from .multigraph import spanning_tree_count
 
 # enumerate lists this many violations, then counts the rest
 MAX_VIOLATION_LINES = 50
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,7 +45,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
     # each subcommand declares exactly the options its handler reads
     fmt = dict(default="table", choices=("table", "csv", "json"))
-    precision = dict(type=int, default=12, metavar="DIGITS",
+    precision = dict(type=int, default=12, choices=range(6, 16), metavar="DIGITS",
                      help="digits shown in table output (6..15, default 12)")
     oracle_cap = dict(type=int, default=verify.DEFAULT_ORACLE_CAP,
                       help="max crossings for the matrix-tree determinant cross-check")
@@ -189,12 +191,13 @@ def cmd_pd(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # only check and constants take --precision, only sweep --workers
-        if not (6 <= getattr(args, "precision", 12) <= 15):
-            raise ValueError("precision must be in [6, 15]")
-        if getattr(args, "workers", 1) < 1:
-            raise ValueError("workers must be >= 1")
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit; let that write succeed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,6 +23,7 @@ checked against, so it shares no code with them.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -54,12 +55,8 @@ class ThreeBraid:
             if x < 1 or y < 1:
                 raise ValueError("all twist counts must be >= 1")
 
-    @property
-    def flat(self) -> tuple[int, ...]:
-        return tuple(x for p in self.pairs for x in p)
-
     def __str__(self):
-        return "B(" + ",".join(map(str, self.flat)) + ")"
+        return "B(" + ",".join(f"{x},{y}" for x, y in self.pairs) + ")"
 
 
 @dataclass(frozen=True)
@@ -247,10 +244,7 @@ class ClosedForm(NamedTuple):
     faces: FaceVector
     twist_count: int
     nonhyperbolic: str  # why the member is known non-hyperbolic, or ""
-
-    @property
-    def crossing_count(self) -> int:
-        return self.faces.total_sides // 4  # every crossing has four corners
+    crossing_count: int
 
 
 def closed_form(spec: FamilySpec) -> ClosedForm:
@@ -266,6 +260,7 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
     assumed hyperbolic (reduced alternating, not an evident torus link),
     never proven.
     """
+    faces: Counter[int] = Counter()  # face size -> multiplicity
     reason = ""
     if isinstance(spec, TwoBridge):
         # Plat closure, bottom caps (1,2),(3,4): a_i is a block of crossings
@@ -275,20 +270,21 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
         # (3,4) meets every s2 crossing, the outer face every s1 crossing.
         a, n = spec.a, len(spec.a)
         s1, s2 = sum(a[1::2]), sum(a[0::2])
-        sizes = [(2, sum(a) - n)] + [(2 + x, 1) for x in a[1:-1]]
+        faces[2] += s1 + s2 - n
+        faces.update(2 + x for x in a[1:-1])
         if n == 1:  # column (1,2) meets the block; the outer face, 2 sides
-            sizes += [(a[0], 1), (s2, 1), (2, 1)]
+            faces.update((a[0], s2, 2))
         elif n % 2:
             # top caps (1,2),(3,4): column (2,3) opens into the outer face at
             # both ends; column (1,2) ends in an (a_1 + 1)- and an (a_n + 1)-gon
             # under the caps
-            sizes += [(a[0] + 1, 1), (a[-1] + 1, 1), (s2, 1), (s1 + 2, 1)]
+            faces.update((a[0] + 1, a[-1] + 1, s2, s1 + 2))
         else:
             # top caps (2,3),(1,4): column (1,2) starts in an (a_1 + 1)-gon;
             # column (2,3) opens into the outer face at the bottom and ends
             # in an (a_n + 1)-gon under its cap; the tops of columns (1,2) and
             # (3,4) join
-            sizes += [(a[0] + 1, 1), (a[-1] + 1, 1), (s2 + 1, 1), (s1 + 1, 1)]
+            faces.update((a[0] + 1, a[-1] + 1, s2 + 1, s1 + 1))
         if n <= 2:
             # R(a_1,a_2): the faces of sizes a_1 + 1 and a_2 + 1 touch both
             # blocks, so either entry being 1 joins them
@@ -308,9 +304,10 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
         # Closure of prod s1^a_i s2^b_i: column (1,2) has bigons inside the s1
         # blocks and a (2 + b_i)-gon after block i, column (2,3) likewise;
         # the inner face meets every s1 crossing, the outer every s2 crossing.
-        a, b = spec.flat[0::2], spec.flat[1::2]
-        sizes = [(2, sum(a) + sum(b) - 2 * len(a)), (sum(a), 1), (sum(b), 1)]
-        sizes += [(2 + x, 1) for x in a + b]
+        a, b = zip(*spec.pairs)
+        faces[2] += sum(a) + sum(b) - 2 * len(a)
+        faces.update((sum(a), sum(b)))
+        faces.update(2 + x for x in a + b)
         # the inner face is a bigon joining the two s1 blocks when
         # a_1 = a_2 = 1 (n = 2), the outer face likewise for the b blocks
         t = 2 * len(a) - (a == (1, 1)) - (b == (1, 1))
@@ -319,16 +316,18 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
     elif isinstance(spec, Pretzel):
         a, n = spec.a, len(spec.a)
         if n <= 2:  # a (2,k) torus diagram: k bigons, two k-gons, one region
-            k = sum(a)
-            sizes, t = [(2, k), (k, 2)], 1
+            k, t = sum(a), 1
+            faces[2] += k
+            faces[k] += 2
             # equivalent to a 2-bridge chain with a single twist region
             reason = "a pretzel on <= 2 strands is a (2,k) torus link"
         else:
             # an (a_{i-1} + a_i)-gon between consecutive regions (cyclically),
             # a bigon per extra crossing inside a region, and the two n-gons
             # through the middle
-            sizes = [(a[i - 1] + x, 1) for i, x in enumerate(a)]
-            sizes += [(2, sum(a) - n), (n, 2)]
+            faces.update(a[i - 1] + x for i, x in enumerate(a))
+            faces[2] += sum(a) - n
+            faces[n] += 2
             if all(x == 1 for x in a):  # every face between crossings is a bigon
                 t = 1
                 reason = "all-ones pretzel is the (2,n) torus link"
@@ -341,16 +340,16 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
         # outer faces meet the n s1 and the n s3 crossings, and are bigons,
         # joining regions, for W(2) only
         n = spec.n
-        sizes = [(3, 2 * n), (4, n), (n, 2)]
+        faces[3] += 2 * n
+        faces[4] += n
+        faces[n] += 2
         t = 4 if n == 2 else 3 * n
         if n == 1:
             reason = "closure of s1 s3 s2^-1 is the unknot"
     else:
         raise TypeError(f"not a family spec: {spec!r}")
-    counts: dict[int, int] = {}
-    for size, mult in sizes:
-        counts[size] = counts.get(size, 0) + mult
-    return ClosedForm(FaceVector(counts), t, reason)
+    fv = FaceVector(faces)
+    return ClosedForm(fv, t, reason, fv.total_sides // 4)  # every crossing has four corners
 
 
 def to_diagram(spec: FamilySpec) -> dgm.Diagram:

@@ -280,21 +280,22 @@ def enumerate_pretzels(
 
     Tuples are canonicalized as sorted multisets (the determinant is
     symmetric).  Once 2*pi*log(det) exceeds the Montesinos bound 2*v8*n for n
-    twist regions at a tuple, every coordinatewise-larger tuple passes too
-    (the actual twist count never exceeds n), so only the multisets below the
-    minimal frontier are visited.  For each n one loop walks them in
-    lexicographic order, one determinant per step, with the entries from
-    a[level] on all equal.  Below the frontier a multiset is checked and its
-    last entry raised.  A frontier corner certifies every later multiset
-    that keeps a[:level], so the walk backs up one level and sets the
-    entries from a[level - 1] on to a[level - 1] + 1.  Each multiset below
-    the frontier is expanded into its distinct cyclic arrangements, since
-    face sizes and twist counts depend on the cyclic order.  The first
-    arrangement is the sorted multiset itself: it alone goes through
-    ``oracle_check`` when it is under the oracle cap, and it is the only
-    arrangement of the one vacuous multiset, all ones.  An arrangement that
-    the Stoimenow certificate for Montesinos links does not already settle
-    gets its verdict and margin from ``bound_report``.
+    twist regions plus that bound's claimed error at a tuple, every
+    coordinatewise-larger tuple passes too (the actual twist count never
+    exceeds n), so only the multisets below the minimal frontier are
+    visited.  For each n one loop walks them in lexicographic order, one
+    determinant per step, with the entries from a[level] on all equal.
+    Below the frontier a multiset is checked and its last entry raised.  A
+    frontier corner certifies every later multiset that keeps a[:level], so
+    the walk backs up one level and sets the entries from a[level - 1] on to
+    a[level - 1] + 1.  Each multiset below the frontier is expanded into its
+    distinct cyclic arrangements, since face sizes and twist counts depend
+    on the cyclic order.  The first arrangement is the sorted multiset
+    itself: it alone goes through ``oracle_check`` when it is under the
+    oracle cap, and it is the only arrangement of the one vacuous multiset,
+    all ones.  An arrangement that the Stoimenow certificate for Montesinos
+    links does not already settle gets its verdict and margin from
+    ``bound_report``.
     """
     if t_max < 3:
         raise ValueError("t_max must be >= 3 (smaller pretzels are 2-bridge)")
@@ -306,13 +307,14 @@ def enumerate_pretzels(
     start = time.perf_counter()
 
     for n in range(t_min, t_max + 1):
-        log_threshold = montesinos_bound(n).value / TWO_PI  # det above e^this certifies
+        b = montesinos_bound(n)
+        log_threshold = (b.value + b.abs_err) / TWO_PI  # the bound at its largest
         # the sorted multiset a, whose entries from a[level] on are all equal
         a, level = [1] * n, 0
         while level >= 0:
             tup = tuple(a)
             d = fam.pretzel_det(tup)
-            if math.log(d) > log_threshold + 1e-12:
+            if math.log(d) > log_threshold + 1e-12:  # 1e-12: rounding slack
                 # a frontier corner: raise a[level - 1] and every entry after it
                 report.certified_monotone += 1
                 if len(report.frontier) < FRONTIER_LIMIT:
@@ -412,6 +414,8 @@ def sweep(
     workers: int = 1,
 ) -> list[BoundReport]:
     """One BoundReport per family member, in deterministic spec order."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     specs = sweep_specs(family, sum_max)
     check_one = functools.partial(check, oracle_cap=oracle_cap)
     workers = min(workers, os.cpu_count() or 1)  # more would only contend

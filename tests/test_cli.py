@@ -302,8 +302,9 @@ class TestPd:
 
 class TestConfigValidation:
     def test_bad_precision(self, capsys):
-        code, _, err = run(capsys, "constants", "--precision", "20")
+        code, _, err = usage_error(capsys, "constants", "--precision", "20")
         assert code == 1
+        assert err.startswith("usage: detvol constants")
 
     def test_bad_workers(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "R", "--sum-max", "3", "--workers", "0")
@@ -376,3 +377,20 @@ class TestUsage:
         assert proc.stdout == ""
         assert any(": error: " in ln for ln in proc.stderr.splitlines())
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "W(300000)"],
+        ["sweep", "--family", "R", "--sum-max", "12"],
+    ], ids=["check", "sweep"])
+    def test_closed_pipe_exits_141(self, argv):
+        # each prints more than a pipe buffer holds, so a write meets the
+        # closed reader whenever it happens
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # the same detvol
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "detvol.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate()
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert err == b""

@@ -359,6 +359,23 @@ class TestDiagrams:
             assert cf.twist_count == d.twist_count, spec
             assert cf.crossing_count == d.pd.crossing_count, spec
 
+    def test_closed_form_above_oracle_cap(self):
+        # sizes no diagram is built for: the crossing number is the entry sum
+        # (3n for W), and Euler's formula holds for the face count
+        rng = random.Random(20261019)
+        specs = [(Weaving4(10**5), 3 * 10**5)]
+        for _ in range(10):
+            a = tuple(rng.randint(1, 50) for _ in range(rng.randint(200, 2000)))
+            pairs = tuple((rng.randint(1, 50), rng.randint(1, 50))
+                          for _ in range(rng.randint(1, 1000)))
+            specs += [(TwoBridge(a), sum(a)), (Pretzel(a), sum(a)),
+                      (ThreeBraid(pairs), sum(map(sum, pairs)))]
+        for spec, c in specs:
+            cf = closed_form(spec)
+            assert cf.crossing_count == c, spec
+            assert cf.faces.total_faces == c + 2, spec
+            assert parse_spec(str(spec)) == spec
+
     def test_closed_form_twist_merges(self):
         for text, t in [("R(1,1)", 1), ("R(1,2,1)", 1), ("R(1,1,1,1)", 2), ("W(2)", 4),
                         ("B(1,2,1,3)", 3), ("B(1,1,1,1)", 2), ("P(1,1,2)", 2),
@@ -394,7 +411,7 @@ class TestDiagrams:
             ae = adams_bound_exact(faces).value
             al = adams_bound_log(faces).value
             assert ae <= al + 1e-9, a
-            assert al <= TWO_PI * math.log(v_function(spec.flat)) + 1e-9, a
+            assert al <= TWO_PI * math.log(v_function(sum(spec.pairs, ()))) + 1e-9, a
 
     def test_allones_threebraid_laplacian_template(self):
         # hub of degree n joined to an n-cycle of degree-3 vertices

@@ -16,7 +16,7 @@ import pytest
 import detvol
 from detvol import families, verify
 from detvol.families import Pretzel, ThreeBraid, TwoBridge, Weaving4, pretzel_det, to_diagram
-from detvol.hypvol import GAMMA, TWO_PI, V4, XI, ZETA, FaceVector
+from detvol.hypvol import GAMMA, TWO_PI, V4, XI, ZETA, FaceVector, Real
 from detvol.verify import (
     CSV_COLUMNS,
     canonical_arrangements,
@@ -385,6 +385,17 @@ class TestEnumerate:
             r = check(Pretzel(bumped), oracle_cap=0)
             assert r.verdict == "holds", (corner, bumped)
 
+    def test_frontier_widened_by_bound_error(self, monkeypatch):
+        # a corner certifies only if its margin exceeds the bound's whole error
+        base = enumerate_pretzels(4, oracle_cap=0)
+        assert (base.certified_monotone, base.checked) == (36, 212)
+        montesinos = verify.montesinos_bound
+        monkeypatch.setattr(verify, "montesinos_bound",
+                            lambda t: Real(montesinos(t).value, 1.0))
+        wide = enumerate_pretzels(4, oracle_cap=0)
+        assert (wide.certified_monotone, wide.checked) == (43, 277)
+        assert not wide.violations
+
     def test_stoimenow_floor_on_checked(self):
         # det >= 2 gamma^(t-1) for every hyperbolic pretzel that gets checked
         report = enumerate_pretzels(4)
@@ -413,7 +424,7 @@ class TestSweep:
     def test_families(self):
         assert len(sweep_specs("W", 12)) == 4
         assert all(len(s.a) >= 3 for s in sweep_specs("P", 6))
-        assert all(len(s.flat) % 2 == 0 for s in sweep_specs("B", 6))
+        assert all(len(p) == 2 for s in sweep_specs("B", 6) for p in s.pairs)
 
     def test_small_sweep_holds(self):
         for r in sweep("R", 7, oracle_cap=20):
@@ -453,6 +464,11 @@ class TestSweep:
         assert sizes == [3]
         serial = sweep("R", 7, oracle_cap=0, workers=1)
         assert reports_to_csv(reports) == reports_to_csv(serial)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sweep("R", 3, workers=workers)
 
     def test_stoimenow_consistency(self):
         for family, cap in (("B", 8), ("R", 8), ("P", 8)):
