@@ -144,9 +144,10 @@ class FaceVector:
         """The two largest faces, which the Adams bounds remove; raises for a monogon."""
         if self.total_faces < 2 or 1 in self.counts:
             raise ValueError("need two faces and no monogon, as in a reduced diagram")
-        sizes = sorted(self.counts)
-        r = sizes[-1]
-        s = r if self.counts[r] >= 2 else sizes[-2]
+        # ``__init__`` inserts the sizes in ascending order
+        sizes = reversed(self.counts)
+        r = next(sizes)
+        s = r if self.counts[r] >= 2 else next(sizes)
         return r, s
 
     def __eq__(self, other):

@@ -1,8 +1,8 @@
 """Test helpers: independent spanning-tree counts, arrangements, a closed form, writers.
 
-``detvol`` counts spanning trees one way, by matrix-tree with Bareiss
-elimination.  The tests check that count against two routines that share no
-code with it:
+``detvol`` counts spanning trees by matrix-tree, with dense Bareiss
+elimination on small graphs and sparse symmetric elimination on large ones.
+The tests check that count against two routines that share no code with it:
 
 * brute-force enumeration of edge subsets (small graphs only);
 * deletion-contraction recursion.

@@ -199,6 +199,29 @@ class TestFaceVector:
         assert FaceVector({2: 2, 3: 4}).two_largest() == (3, 3)
         assert FaceVector({2: 1, 3: 1, 5: 1}).two_largest() == (5, 3)
 
+    def test_two_largest_from_unsorted_counts(self):
+        # sizes given out of order, with zero multiplicities in between
+        assert FaceVector({7: 1, 2: 5, 9: 0, 4: 2}).two_largest() == (7, 4)
+        assert FaceVector({3: 1, 8: 2, 5: 1}).two_largest() == (8, 8)
+        assert FaceVector({6: 0, 3: 1, 2: 1}).two_largest() == (3, 2)
+        rng = random.Random(4)
+        for _ in range(200):
+            counts = {rng.randint(2, 30): rng.randint(0, 3) for _ in range(rng.randint(1, 6))}
+            faces = sorted(n for n, b in counts.items() for _ in range(b))
+            if len(faces) < 2:
+                with pytest.raises(ValueError):
+                    FaceVector(counts).two_largest()
+            else:
+                assert FaceVector(counts).two_largest() == (faces[-1], faces[-2])
+
+    def test_two_largest_rejects_monogon_and_too_few_faces(self):
+        with pytest.raises(ValueError):
+            FaceVector({5: 3, 1: 1, 2: 2}).two_largest()
+        with pytest.raises(ValueError):
+            FaceVector({9: 1, 3: 0}).two_largest()
+        with pytest.raises(ValueError):
+            FaceVector({}).two_largest()
+
     def test_rejects_bad(self):
         with pytest.raises(ValueError):
             FaceVector({0: 1})

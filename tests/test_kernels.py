@@ -1,11 +1,11 @@
-"""Determinant kernel: exact Bareiss elimination against a cofactor oracle."""
+"""Determinant kernels: exact Bareiss and sparse symmetric elimination against oracles."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from detvol.kernels import bareiss_det
+from detvol.kernels import bareiss_det, symmetric_psd_det
 
 
 def permanent_free_det(m):
@@ -100,3 +100,28 @@ def test_sparse_matches_fraction_oracle():
         singular += det == 0
         assert bareiss_det(m) == det
     assert swapped >= 50 and singular >= 50
+
+
+def test_symmetric_psd_matches_fraction_oracle():
+    # Gram matrices B^T B of sparse integer B: symmetric positive
+    # semidefinite, singular whenever B has fewer rows than columns or
+    # dependent ones; each passed as {column: entry} rows
+    rng = random.Random(12)
+    singular = 0
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        k = rng.randint(max(1, n - 3), n + 3)
+        density = (0.15, 0.3, 0.5)[trial % 3]
+        b = [
+            [rng.choice((-2, -1, 1, 2)) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(k)
+        ]
+        m = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+        det, _ = fraction_det(m)
+        singular += det == 0
+        assert symmetric_psd_det(rows) == det == bareiss_det(m)
+    assert singular >= 50
+    # entries far beyond 64 bits
+    big = [{0: 2 ** 70, 1: 2 ** 69}, {0: 2 ** 69, 1: 2 ** 70}]
+    assert symmetric_psd_det(big) == 2 ** 140 - 2 ** 138
