@@ -32,7 +32,7 @@ from .hypvol import (
     montesinos_bound,
     stoimenow_lower_bound,
 )
-from .multigraph import Multigraph, laplacian, spanning_tree_count
+from .multigraph import Multigraph, spanning_tree_count
 from .verify import (
     BoundReport,
     check,
@@ -61,7 +61,6 @@ __all__ = [
     "enumerate_pretzels",
     "high_twist_threshold",
     "lackenby_bound",
-    "laplacian",
     "lobachevsky",
     "montesinos_bound",
     "parse_spec",

@@ -12,18 +12,7 @@ but inert.
 
 from __future__ import annotations
 
-from .kernels import bareiss_det, symmetric_psd_det
-
-# Graphs up to this many vertices take the dense route.  The sparse route
-# breaks even with it at 20-40 vertices, earlier on sparser graphs (two cores,
-# interleaved timings of one tree count): at about 20 on R, B and P Tait
-# graphs and on the 2n-vertex Tait graph of W(n), at 30-40 on the denser
-# (n + 2)-vertex one.  Above that it wins, 2x at 60-80 vertices.  The total
-# over both Tait graphs of W(1..80) moves by under 5% for any constant from
-# 20 to 50.  The two Tait graphs of a c-crossing diagram have c + 2 vertices
-# together, so at the default oracle cap of 40 crossings a Tait graph has at
-# most 40 vertices unless the other has one (a diagram that is not reduced).
-DENSE_MAX_VERTICES = 40
+from .kernels import bareiss_det
 
 
 class Multigraph:
@@ -42,20 +31,6 @@ class Multigraph:
 
     def __repr__(self):
         return f"Multigraph({self.vertex_count}, {self.edges})"
-
-
-def laplacian(g: Multigraph) -> list[list[int]]:
-    """Integer Laplacian: diagonal deg(v) - 2*loops(v), off-diagonal -#edges."""
-    n = g.vertex_count
-    L = [[0] * n for _ in range(n)]
-    for (u, v) in g.edges:
-        if u == v:
-            continue
-        L[u][u] += 1
-        L[v][v] += 1
-        L[u][v] -= 1
-        L[v][u] -= 1
-    return L
 
 
 def laplacian_minor_rows(g: Multigraph) -> list[dict[int, int]]:
@@ -92,18 +67,8 @@ def spanning_tree_count(g: Multigraph) -> int:
     The minor drops a vertex of highest degree and orders the rest by
     ascending degree, so elimination meets the sparse rows first.  The two
     hubs of a weaving or pretzel Tait graph then create no fill: one is
-    dropped and the other is eliminated last.
-
-    Both routes take that minor.  A graph of at most ``DENSE_MAX_VERTICES``
-    vertices copies it out of the dense ``laplacian`` for ``bareiss_det``.  A
-    larger one builds it as sparse rows (``laplacian_minor_rows``) for
-    ``symmetric_psd_det``, which updates only the rows a pivot reaches, over
-    only their nonzero columns: about twice as fast as the dense route at
-    60-80 vertices, slower below 20-40 (see the constant).
+    dropped and the other is eliminated last.  ``bareiss_det`` eliminates
+    the minor's sparse rows (``laplacian_minor_rows``), updating only the
+    rows a pivot reaches, over only their nonzero columns.
     """
-    n = g.vertex_count
-    if n > DENSE_MAX_VERTICES:
-        return symmetric_psd_det(laplacian_minor_rows(g))
-    L = laplacian(g)
-    order = sorted(range(n), key=lambda v: L[v][v])[:-1]
-    return bareiss_det([[L[i][j] for j in order] for i in order])
+    return bareiss_det(laplacian_minor_rows(g))

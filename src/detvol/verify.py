@@ -48,11 +48,11 @@ from .multigraph import spanning_tree_count
 DEFAULT_ORACLE_CAP = 40
 # A diagram above this limit is refused, whatever the oracle cap.  On two
 # cores a 400-crossing R, B, P or W oracle check (diagram and both tree
-# counts) takes 0.003-0.009 s, since their Tait graphs leave the sparse
+# counts) takes 0.001-0.005 s, since their Tait graphs leave the sparse
 # elimination almost no fill.  A Tait graph that fills in costs more: the
 # tree counts of a 14x15 grid graph (391 edges, so 391 crossings) and its
-# dual take 0.13-0.15 s, and the worst case still grows like c^3 in the
-# crossing number c.
+# dual take 0.07 s, and the worst case still grows like c^3 in the crossing
+# number c.
 MAX_ORACLE_CROSSINGS = 400
 
 

@@ -1,11 +1,14 @@
 """Test helpers: independent spanning-tree counts, arrangements, a closed form, writers.
 
-``detvol`` counts spanning trees by matrix-tree, with dense Bareiss
-elimination on small graphs and sparse symmetric elimination on large ones.
-The tests check that count against two routines that share no code with it:
+``detvol`` counts spanning trees by matrix-tree, with sparse symmetric
+Bareiss elimination of ``{column: entry}`` rows.  The tests check that count
+against routines that share no code with it:
 
 * brute-force enumeration of edge subsets (small graphs only);
-* deletion-contraction recursion.
+* deletion-contraction recursion;
+* ``spanning_tree_count_dense``: the dense ``laplacian`` and the same minor,
+  by ``dense_bareiss_det``, fraction-free elimination of any square integer
+  matrix over every column right of the pivot, with row swaps.
 
 ``detvol`` generates bracelets of fixed content directly; the tests check it
 against ``canonical_arrangements_by_permutation``, which walks every ordering.
@@ -67,6 +70,75 @@ def threebraid_allones_det(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return _lucas_v(3, n) - 2
+
+
+def dense_bareiss_det(rows: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix, arbitrary precision."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
+    for row in m:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+    stage = [0] * n  # elimination steps row i has taken
+    d = [1] * n  # d[k]: the pivot of step k - 1
+    sign = 1
+    for k in range(n - 1):
+        # a stale entry is a nonzero multiple of its current value
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    stage[k], stage[i] = stage[i], stage[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        mk = m[k]
+        s = stage[k]
+        if s != k:
+            dk, ds = d[k], d[s]
+            for j in range(k, n):
+                mk[j] = mk[j] * dk // ds
+        piv = mk[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            f = mi[k]
+            if f:
+                # the stage-k update of a row still at stage s, in one step
+                ds = d[stage[i]]
+                for j in range(k + 1, n):
+                    mi[j] = (mi[j] * piv - f * mk[j]) // ds
+                stage[i] = k + 1
+        d[k + 1] = piv
+    return sign * (m[n - 1][n - 1] * d[n - 1] // d[stage[n - 1]])
+
+
+def laplacian(g: Multigraph) -> list[list[int]]:
+    """Integer Laplacian: diagonal deg(v) - 2*loops(v), off-diagonal -#edges."""
+    n = g.vertex_count
+    L = [[0] * n for _ in range(n)]
+    for (u, v) in g.edges:
+        if u == v:
+            continue
+        L[u][u] += 1
+        L[v][v] += 1
+        L[u][v] -= 1
+        L[v][u] -= 1
+    return L
+
+
+def dense_minor(g: Multigraph) -> list[list[int]]:
+    """The minor ``spanning_tree_count`` takes, copied out of the dense Laplacian."""
+    L = laplacian(g)
+    order = sorted(range(g.vertex_count), key=lambda v: L[v][v])[:-1]
+    return [[L[i][j] for j in order] for i in order]
+
+
+def spanning_tree_count_dense(g: Multigraph) -> int:
+    """Oracle: matrix-tree by dense Bareiss elimination of that minor."""
+    return dense_bareiss_det(dense_minor(g))
 
 
 def spanning_tree_count_bruteforce(g: Multigraph) -> int:

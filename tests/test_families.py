@@ -26,8 +26,8 @@ from detvol.families import (
     weaving_det,
 )
 from detvol.hypvol import TWO_PI
-from detvol.multigraph import laplacian, spanning_tree_count
-from oracles import compositions_upto, degree, threebraid_allones_det
+from detvol.multigraph import spanning_tree_count
+from oracles import compositions_upto, degree, laplacian, threebraid_allones_det
 
 
 class TestTwoBridgeDet:

@@ -1,11 +1,12 @@
-"""Determinant kernels: exact Bareiss and sparse symmetric elimination against oracles."""
+"""The determinant kernel, sparse symmetric Bareiss, and its dense reference against oracles."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from detvol.kernels import bareiss_det, symmetric_psd_det
+from detvol.kernels import bareiss_det
+from oracles import dense_bareiss_det
 
 
 def permanent_free_det(m):
@@ -23,15 +24,20 @@ def permanent_free_det(m):
 
 
 def test_small_known():
-    assert bareiss_det([[2, -1], [-1, 2]]) == 3
-    assert bareiss_det([[0, 1], [1, 0]]) == -1
-    assert bareiss_det([[1]]) == 1
+    assert dense_bareiss_det([[2, -1], [-1, 2]]) == 3
+    assert dense_bareiss_det([[0, 1], [1, 0]]) == -1
+    assert dense_bareiss_det([[1]]) == 1
+    assert dense_bareiss_det([]) == 1
+    assert bareiss_det([{0: 2, 1: -1}, {0: -1, 1: 2}]) == 3
+    assert bareiss_det([{0: 1}]) == 1
     assert bareiss_det([]) == 1
 
 
 def test_singular():
-    assert bareiss_det([[1, 2], [2, 4]]) == 0
-    assert bareiss_det([[0, 0], [0, 0]]) == 0
+    assert dense_bareiss_det([[1, 2], [2, 4]]) == 0
+    assert dense_bareiss_det([[0, 0], [0, 0]]) == 0
+    assert bareiss_det([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 0
+    assert bareiss_det([{0: 0}, {1: 0}]) == 0
 
 
 def test_matches_cofactor_oracle():
@@ -50,12 +56,12 @@ def test_matches_cofactor_oracle():
             for _ in range(n)
         ])
     for m in cases:
-        assert bareiss_det(m) == permanent_free_det(m)
+        assert dense_bareiss_det(m) == permanent_free_det(m)
 
 
 def test_rejects_ragged():
     with pytest.raises(ValueError):
-        bareiss_det([[1, 2], [3]])
+        dense_bareiss_det([[1, 2], [3]])
 
 
 def fraction_det(m):
@@ -98,7 +104,7 @@ def test_sparse_matches_fraction_oracle():
         det, swaps = fraction_det(m)
         swapped += det != 0 and swaps > 0
         singular += det == 0
-        assert bareiss_det(m) == det
+        assert dense_bareiss_det(m) == det
     assert swapped >= 50 and singular >= 50
 
 
@@ -120,8 +126,8 @@ def test_symmetric_psd_matches_fraction_oracle():
         rows = [{j: x for j, x in enumerate(row) if x} for row in m]
         det, _ = fraction_det(m)
         singular += det == 0
-        assert symmetric_psd_det(rows) == det == bareiss_det(m)
+        assert bareiss_det(rows) == det == dense_bareiss_det(m)
     assert singular >= 50
     # entries far beyond 64 bits
     big = [{0: 2 ** 70, 1: 2 ** 69}, {0: 2 ** 69, 1: 2 ** 70}]
-    assert symmetric_psd_det(big) == 2 ** 140 - 2 ** 138
+    assert bareiss_det(big) == 2 ** 140 - 2 ** 138

@@ -5,19 +5,18 @@ import random
 import pytest
 
 from detvol.families import Weaving4, to_diagram, weaving_det
-from detvol.kernels import bareiss_det, symmetric_psd_det
-from detvol.multigraph import (
-    DENSE_MAX_VERTICES,
-    Multigraph,
-    laplacian,
-    laplacian_minor_rows,
-    spanning_tree_count,
-)
+from detvol import multigraph
+from detvol.kernels import bareiss_det
+from detvol.multigraph import Multigraph, laplacian_minor_rows, spanning_tree_count
 from oracles import (
     contract,
     delete,
+    dense_bareiss_det,
+    dense_minor,
+    laplacian,
     spanning_tree_count_bruteforce,
     spanning_tree_count_deletion_contraction,
+    spanning_tree_count_dense,
 )
 
 TRIANGLE = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -36,18 +35,6 @@ def random_multigraph(rng, max_vertices=7, max_edges=14, connected_bias=True):
         u, v = rng.randrange(n), rng.randrange(n)
         edges.append((u, v))
     return Multigraph(n, edges[:max_edges])
-
-
-def dense_minor(g):
-    """The minor of ``spanning_tree_count`` copied out of the dense Laplacian."""
-    L = laplacian(g)
-    order = sorted(range(g.vertex_count), key=lambda v: L[v][v])[:-1]
-    return [[L[i][j] for j in order] for i in order]
-
-
-def sparse_count(g):
-    """The sparse route, whatever the size of the graph."""
-    return symmetric_psd_det(laplacian_minor_rows(g))
 
 
 def random_loopy_multigraph(rng, n, extra, connected):
@@ -123,15 +110,17 @@ class TestTreeCount:
             L = laplacian(g)
             n = g.vertex_count
             vals = {
-                bareiss_det([[L[i][j] for j in range(n) if j != v] for i in range(n) if i != v])
+                dense_bareiss_det(
+                    [[L[i][j] for j in range(n) if j != v] for i in range(n) if i != v]
+                )
                 for v in range(n)
             }
             assert vals == {spanning_tree_count(g)}
 
     def test_wheel_lucas(self):
         # tau(wheel with n rim vertices) = L(2n) - 2; the hub is the vertex
-        # of highest degree, at either end of the labels; the wheels span
-        # both sides of DENSE_MAX_VERTICES
+        # of highest degree, at either end of the labels; the wheels run to
+        # 41 vertices
         lucas = [2, 1]
         while len(lucas) <= 80:
             lucas.append(lucas[-1] + lucas[-2])
@@ -143,7 +132,7 @@ class TestTreeCount:
             )
             assert spanning_tree_count(hub_last) == lucas[2 * n] - 2
             assert spanning_tree_count(hub_first) == lucas[2 * n] - 2
-            assert sparse_count(hub_first) == lucas[2 * n] - 2
+            assert spanning_tree_count_dense(hub_first) == lucas[2 * n] - 2
 
     def test_two_hubs_vs_deletion_contraction(self):
         # theta graphs, the Tait graphs of pretzel links: paths between two
@@ -252,69 +241,82 @@ class TestSparseRoute:
             assert dense == dense_minor(g)
 
     def test_edge_cases(self):
-        assert symmetric_psd_det([]) == 1
-        assert sparse_count(Multigraph(1)) == 1
-        assert sparse_count(Multigraph(1, [(0, 0)] * 3)) == 1
-        assert sparse_count(Multigraph(2)) == 0
-        assert sparse_count(Multigraph(2, [(0, 0), (1, 1)])) == 0
+        assert bareiss_det([]) == 1
+        assert spanning_tree_count(Multigraph(1)) == 1
+        assert spanning_tree_count(Multigraph(1, [(0, 0)] * 3)) == 1
+        assert spanning_tree_count(Multigraph(2)) == 0
+        assert spanning_tree_count(Multigraph(2, [(0, 0), (1, 1)])) == 0
         for k in range(1, 6):
-            assert sparse_count(Multigraph(2, [(0, 1)] * k + [(1, 1)])) == k
-        assert sparse_count(Multigraph(4, [(0, 1), (2, 3), (2, 3)])) == 0
+            assert spanning_tree_count(Multigraph(2, [(0, 1)] * k + [(1, 1)])) == k
+        assert spanning_tree_count(Multigraph(4, [(0, 1), (2, 3), (2, 3)])) == 0
 
     def test_input_not_modified(self):
         rows = laplacian_minor_rows(Multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
         before = [dict(r) for r in rows]
-        assert symmetric_psd_det(rows) == 8
+        assert bareiss_det(rows) == 8
         assert rows == before
 
     def test_small_graphs_vs_bareiss_and_oracles(self):
-        # loops, parallel edges, disconnected graphs and 1-2 vertices, all
-        # below the constant, sent down the sparse route directly
+        # loops, parallel edges, disconnected graphs and 1-2 vertices
         rng = random.Random(12)
         zeros = tiny = 0
         for _ in range(600):
             g = random_multigraph(rng, connected_bias=rng.random() < 0.7)
-            tau = sparse_count(g)
-            assert tau == bareiss_det(dense_minor(g)) == spanning_tree_count(g)
+            tau = spanning_tree_count(g)
+            assert tau == spanning_tree_count_dense(g)
             assert tau == spanning_tree_count_bruteforce(g)
             assert tau == spanning_tree_count_deletion_contraction(g)
             zeros += tau == 0
             tiny += g.vertex_count <= 2
         assert zeros > 50 and tiny > 50
 
-    def test_both_sides_of_the_constant_vs_deletion_contraction(self):
+    def test_25_to_65_vertices_vs_deletion_contraction(self):
         # trees plus a few edges keep deletion-contraction cheap at any size
         rng = random.Random(13)
         zeros = 0
         for _ in range(40):
-            n = rng.randint(DENSE_MAX_VERTICES - 15, DENSE_MAX_VERTICES + 25)
+            n = rng.randint(25, 65)
             g = random_loopy_multigraph(rng, n, rng.randint(0, 3), rng.random() < 0.7)
             tau = spanning_tree_count(g)
-            assert tau == sparse_count(g) == bareiss_det(dense_minor(g))
+            assert tau == spanning_tree_count_dense(g)
             assert tau == spanning_tree_count_deletion_contraction(g)
             zeros += tau == 0
         assert zeros > 0
 
-    def test_both_routes_around_the_constant(self):
-        # spanning_tree_count takes the dense route at the constant and the
-        # sparse one a vertex above it; both routes agree on either side
+    def test_30_to_70_vertices_vs_dense_reference(self):
         rng = random.Random(15)
-        c = DENSE_MAX_VERTICES
-        for n in (c - 10, c, c + 1, c + 30):
+        for n in (30, 40, 41, 70):
             cycle = Multigraph(n, [(i, (i + 1) % n) for i in range(n)])
-            assert spanning_tree_count(cycle) == sparse_count(cycle) == n
+            assert spanning_tree_count(cycle) == spanning_tree_count_dense(cycle) == n
             for _ in range(10):
                 g = random_loopy_multigraph(rng, n, rng.randint(0, 3 * n), rng.random() < 0.8)
-                assert spanning_tree_count(g) == sparse_count(g) == bareiss_det(dense_minor(g))
+                assert spanning_tree_count(g) == spanning_tree_count_dense(g)
 
     def test_weaving_tait_graphs(self):
-        # the weaving family is where the Tait graphs pass the constant:
-        # W(80) has Tait graphs of 82 and 160 vertices
-        sizes = set()
+        # the weaving family has the largest Tait graphs: W(80) has Tait
+        # graphs of 82 and 160 vertices
         for n in range(1, 81):
             diag = to_diagram(Weaving4(n))
             d = weaving_det(n)
             for g in (diag.shaded, diag.white):
                 assert spanning_tree_count(g) == d
-                sizes.add(g.vertex_count > DENSE_MAX_VERTICES)
-        assert sizes == {False, True}
+
+    def test_one_kernel_call_per_graph(self, monkeypatch):
+        # every graph, whatever its size, is counted by one bareiss_det call
+        # through the name multigraph resolves at call time
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return bareiss_det(rows)
+
+        monkeypatch.setattr(multigraph, "bareiss_det", counting)
+        rng = random.Random(16)
+        graphs = [random_loopy_multigraph(rng, n, 2 * n, True) for n in (1, 5, 40, 41)]
+        diag = to_diagram(Weaving4(80))
+        graphs += [diag.shaded, diag.white]
+        assert sorted(g.vertex_count for g in graphs) == [1, 5, 40, 41, 82, 160]
+        for g in graphs:
+            before = len(calls)
+            assert spanning_tree_count(g) == spanning_tree_count_dense(g)
+            assert calls[before:] == [g.vertex_count - 1]

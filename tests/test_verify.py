@@ -581,7 +581,7 @@ PUBLIC_API = [
     "BoundReport", "FaceVector", "FamilySpec", "Multigraph", "Pretzel", "Real",
     "ThreeBraid", "TwoBridge", "Weaving4", "adams_bound_exact",
     "adams_bound_log", "bipyramid_volume", "check", "enumerate_pretzels",
-    "high_twist_threshold", "lackenby_bound", "laplacian", "lobachevsky",
+    "high_twist_threshold", "lackenby_bound", "lobachevsky",
     "montesinos_bound", "parse_spec", "pretzel_det", "spanning_tree_count",
     "stoimenow_certificate", "stoimenow_lower_bound", "sweep",
     "threebraid_det", "to_diagram", "twobridge_det", "v_function",
@@ -594,7 +594,7 @@ def test_exports_resolve():
     for name in detvol.__all__:
         assert hasattr(detvol, name), name
     # the independent tree counts live with the tests, not in the package
-    for name in ("contract", "delete", "spanning_tree_count_bruteforce",
+    for name in ("contract", "delete", "laplacian", "spanning_tree_count_bruteforce",
                  "spanning_tree_count_deletion_contraction"):
         assert not hasattr(detvol, name), name
         assert not hasattr(detvol.multigraph, name), name
