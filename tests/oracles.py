@@ -10,6 +10,9 @@ against routines that share no code with it:
   by ``dense_bareiss_det``, fraction-free elimination of any square integer
   matrix over every column right of the pivot, with row swaps.
 
+``detvol`` takes the 3-braid trace product as a balanced tree; the tests
+check it against ``threebraid_det_sequential``, the left-to-right fold.
+
 ``detvol`` generates bracelets of fixed content directly; the tests check it
 against ``canonical_arrangements_by_permutation``, which walks every ordering.
 
@@ -70,6 +73,26 @@ def threebraid_allones_det(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return _lucas_v(3, n) - 2
+
+
+def threebraid_det_sequential(pairs) -> int:
+    """tr(prod_i [[1+a_i b_i, a_i],[b_i, 1]]) - 2, the product folded left to right.
+
+    Each step multiplies the growing matrix by small entries, so it costs
+    O(n^2) bit work; ``threebraid_det`` takes the same product as a balanced
+    tree.
+    """
+    pairs = [(int(x), int(y)) for (x, y) in pairs]
+    if not pairs:
+        raise ValueError("need at least one pair")
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    for (x, y) in pairs:
+        if x < 1 or y < 1:
+            raise ValueError("all twist counts must be >= 1")
+        # M <- M [[1,x],[0,1]] [[1,0],[y,1]] = M [[1+xy, x],[y, 1]]
+        p, q = m00 * x + m01, m10 * x + m11
+        m00, m01, m10, m11 = m00 + p * y, p, m10 + q * y, q
+    return m00 + m11 - 2
 
 
 def dense_bareiss_det(rows: list[list[int]]) -> int:

@@ -310,6 +310,15 @@ class TestConfigValidation:
         code, _, err = run(capsys, "sweep", "--family", "R", "--sum-max", "3", "--workers", "0")
         assert code == 1
 
+    def test_negative_oracle_cap(self, capsys):
+        for argv in (["check", "R(3,3)"], ["enumerate"], ["sweep", "--family", "R", "--sum-max", "3"]):
+            code, out, err = usage_error(capsys, *argv, "--oracle-cap", "-5")
+            assert (code, out) == (1, ""), argv
+            assert "argument --oracle-cap: must be >= 0, got -5" in err
+        code, _, err = usage_error(capsys, "check", "R(3,3)", "--oracle-cap", "x")
+        assert code == 1
+        assert "argument --oracle-cap: invalid int value: 'x'" in err
+
     def test_workers_option(self, capsys):
         # R<=7 has 127 members, enough for the sweep to use the pool
         argv = ("sweep", "--family", "R", "--sum-max", "7")

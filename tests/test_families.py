@@ -27,7 +27,13 @@ from detvol.families import (
 )
 from detvol.hypvol import TWO_PI
 from detvol.multigraph import spanning_tree_count
-from oracles import compositions_upto, degree, laplacian, threebraid_allones_det
+from oracles import (
+    compositions_upto,
+    degree,
+    laplacian,
+    threebraid_allones_det,
+    threebraid_det_sequential,
+)
 
 
 class TestTwoBridgeDet:
@@ -142,6 +148,18 @@ class TestThreeBraidDet:
             for k in range(1, len(pairs)):
                 rotated = pairs[k:] + pairs[:k]
                 assert threebraid_det(rotated) == base
+
+    def test_tree_matches_sequential_fold(self):
+        # lengths 1..64 give odd, even and power-of-two tree shapes
+        rng = random.Random(20261020)
+        for n in [*range(1, 65), 200, 1400, 2000, 4001]:
+            pairs = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(n)]
+            assert threebraid_det(pairs) == threebraid_det_sequential(pairs), n
+
+    def test_rejects_empty_and_nonpositive(self):
+        for pairs in ([], [(1, 0)], [(1, 1)] * 5 + [(0, 2)] + [(1, 1)] * 4):
+            with pytest.raises(ValueError):
+                threebraid_det(pairs)
 
     def test_reduction_identity(self):
         # det B(a1,b1,...,an,bn) = bn det R(chain) + det B(a1+an, b1, ..., b_{n-1})
