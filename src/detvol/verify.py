@@ -37,6 +37,7 @@ from .families import (
 )
 from .hypvol import (
     TWO_PI,
+    FaceVector,
     adams_bound_exact,
     adams_bound_log,
     lackenby_bound,
@@ -79,13 +80,23 @@ def require_oracle_size(c: int) -> None:
         )
 
 
+def _require_oracle_cap(oracle_cap: int) -> None:
+    if oracle_cap < 0:
+        raise ValueError("oracle_cap must be >= 0")
+
+
 def check(spec: FamilySpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> BoundReport:
     """Full report for one family member.
 
-    The record (det, closed form) costs O(len(spec)) big-integer steps and
-    builds no diagram.  With at most ``oracle_cap`` crossings it also goes
-    through ``oracle_check``, unless the member is known non-hyperbolic.
+    The record (det, closed form) builds no diagram.  On a long spec its
+    determinant is the costly part: R's continuant folds big-by-small
+    products, B's trace tree and W's Lucas doubling take O(M(n) log n) bit
+    work, and ``pretzel_det`` multiplies big prefixes by big suffixes, at
+    least quadratic in the number of entries.  With at most ``oracle_cap``
+    crossings (``oracle_cap >= 0``) it also goes through ``oracle_check``,
+    unless the member is known non-hyperbolic.
     """
+    _require_oracle_cap(oracle_cap)
     d, cf = fam.det(spec), fam.closed_form(spec)
     if not cf.nonhyperbolic and cf.crossing_count <= oracle_cap:
         oracle_check(spec, d, cf)
@@ -178,6 +189,25 @@ def stoimenow_certificate(t: int, c: int, rule: str = "general") -> bool:
     if c < t:
         raise ValueError("c must be >= t")
     return c > high_twist_threshold(t, rule)
+
+
+def adams_log_certificate(d: int, faces: FaceVector) -> bool:
+    """True when ``adams_bound_log(faces)`` is below 2*pi*log(d), decided in integers.
+
+    The bound is 2*pi*sum b'_n log(n/2), with b'_n the faces of size n but
+    the two largest, so it is below 2*pi*log(d) exactly when
+    d * 2^m > prod n^(b'_n) with m = sum b'_n, both over n >= 3 (a bigon
+    adds log 1 = 0, so neither a factor nor a power of 2).  The best bound
+    is at most ``adams_log``, so a True settles ``holds`` with no rounding.
+    """
+    r, s = faces.two_largest()
+    m, prod = 0, 1
+    for n, b in faces.counts.items():
+        if n > 2:
+            b -= (n == r) + (n == s)
+            m += b
+            prod *= n**b
+    return d << m > prod
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +325,10 @@ def enumerate_pretzels(
     itself: it alone goes through ``oracle_check`` when it is under the
     oracle cap, and it is the only arrangement of the one vacuous multiset,
     all ones.  An arrangement that the Stoimenow certificate for Montesinos
-    links does not already settle gets its verdict and margin from
-    ``bound_report``.
+    links settles is counted as twist-count certified.  Of the others, one
+    that ``adams_log_certificate`` settles in integers is counted as checked
+    and holds; only the rest get their verdict and margin from
+    ``bound_report``, as ``check`` would give them.
     """
     if t_max < 3:
         raise ValueError("t_max must be >= 3 (smaller pretzels are 2-bridge)")
@@ -304,6 +336,7 @@ def enumerate_pretzels(
         raise ValueError("need 3 <= t_min <= t_max")
     if t_max > MAX_ENUMERATION_T:
         raise ValueError(f"t_max must be <= {MAX_ENUMERATION_T}")
+    _require_oracle_cap(oracle_cap)
     report = EnumerationReport(t_min=t_min, t_max=t_max)
     start = time.perf_counter()
 
@@ -337,8 +370,10 @@ def enumerate_pretzels(
                 if stoimenow_certificate(cf.twist_count, cf.crossing_count, "montesinos"):
                     report.certified_stoimenow += 1
                     continue
-                r = bound_report(spec, d, cf)
                 report.checked += 1
+                if adams_log_certificate(d, cf.faces):
+                    continue
+                r = bound_report(spec, d, cf)
                 if r.verdict != "holds":
                     report.violations.append((arr, r.margin))
             level = n - 1
@@ -417,6 +452,7 @@ def sweep(
     """One BoundReport per family member, in deterministic spec order."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    _require_oracle_cap(oracle_cap)
     specs = sweep_specs(family, sum_max)
     check_one = functools.partial(check, oracle_cap=oracle_cap)
     workers = min(workers, os.cpu_count() or 1)  # more would only contend

@@ -168,6 +168,7 @@ class TestEnumerate:
             return r
 
         monkeypatch.setattr(verify, "bound_report", fake_bound_report)
+        monkeypatch.setattr(verify, "adams_log_certificate", lambda d, faces: False)
         code, out, _ = run(capsys, "enumerate", "--t-max", "3")
         monkeypatch.undo()
         assert code == 2
@@ -188,6 +189,7 @@ class TestEnumerate:
             return dataclasses.replace(r, verdict="bound_inconclusive", margin=-0.5)
 
         monkeypatch.setattr(verify, "bound_report", fake_bound_report)
+        monkeypatch.setattr(verify, "adams_log_certificate", lambda d, faces: False)
         code, out, _ = run(capsys, "enumerate", "--t-max", "4")
         assert code == 2
         assert len(calls) > cli.MAX_VIOLATION_LINES

@@ -16,7 +16,7 @@ import pytest
 import detvol
 from detvol import families, verify
 from detvol.families import Pretzel, ThreeBraid, TwoBridge, Weaving4, pretzel_det, to_diagram
-from detvol.hypvol import GAMMA, TWO_PI, V4, XI, ZETA, FaceVector, Real
+from detvol.hypvol import GAMMA, TWO_PI, V4, XI, ZETA, FaceVector, Real, adams_bound_log
 from detvol.verify import (
     CSV_COLUMNS,
     canonical_arrangements,
@@ -203,6 +203,82 @@ class TestStoimenowCertificate:
             stoimenow_certificate(3, 2)
 
 
+class TestAdamsLogCertificate:
+    # four of the t = 8 arrangements that no bound settles; each has bigons,
+    # and a certificate that counted bigons in m would pass them all
+    INCONCLUSIVE = [(1, 2, 1, 7, 1, 7, 1, 7), (1, 2, 1, 8, 1, 8, 1, 8),
+                    (1, 2, 1, 8, 1, 9, 1, 9), (1, 2, 1, 8, 1, 10, 1, 10)]
+
+    @staticmethod
+    def _agrees_with_float(d, faces):
+        # outside the error budget of adams_log and of 2 pi log d, the float
+        # comparison and the integer one must give the same answer
+        b = adams_bound_log(faces)
+        two_pi_log_det = TWO_PI * math.log(d)
+        margin = two_pi_log_det - b.value
+        if abs(margin) <= b.abs_err + 4 * math.ulp(two_pi_log_det):
+            return True
+        return verify.adams_log_certificate(d, faces) == (margin > 0)
+
+    def test_exact_at_equality(self):
+        # faces 4,4,4: the bound is 2 pi log 2, so det 2 ties it and 3 beats it
+        faces = FaceVector({4: 3})
+        assert not verify.adams_log_certificate(2, faces)
+        assert verify.adams_log_certificate(3, faces)
+        # bigons add nothing: with ten of them det 2 still only ties
+        faces = FaceVector({2: 10, 4: 3})
+        assert not verify.adams_log_certificate(2, faces)
+        assert verify.adams_log_certificate(3, faces)
+        # the two largest faces are bigons: the bound is 0, and any det > 1 beats it
+        assert verify.adams_log_certificate(2, FaceVector({2: 6}))
+        assert not verify.adams_log_certificate(1, FaceVector({2: 6}))
+
+    def test_agrees_with_float_bound_on_sweeps(self):
+        specs = (sweep_specs("R", 12) + sweep_specs("B", 10) + sweep_specs("P", 10)
+                 + [Weaving4(n) for n in range(2, 81)])
+        seen = 0
+        for spec in specs:
+            cf = families.closed_form(spec)
+            if cf.nonhyperbolic:
+                continue
+            seen += 1
+            assert self._agrees_with_float(families.det(spec), cf.faces), spec
+        assert seen > 5000
+
+    def test_agrees_with_float_bound_on_enumeration(self, monkeypatch):
+        real = verify.adams_log_certificate
+        asked = []
+
+        def spy(d, faces):
+            asked.append((d, faces))
+            return real(d, faces)
+
+        monkeypatch.setattr(verify, "adams_log_certificate", spy)
+        report = enumerate_pretzels(5)
+        monkeypatch.undo()
+        assert len(asked) == report.checked
+        for d, faces in asked:
+            assert self._agrees_with_float(d, faces), (d, faces)
+
+    def test_does_not_certify_inconclusive(self):
+        specs = [Weaving4(n) for n in range(4, 81)] + [Pretzel(a) for a in self.INCONCLUSIVE]
+        for spec in specs:
+            cf = families.closed_form(spec)
+            assert not verify.adams_log_certificate(families.det(spec), cf.faces), spec
+        for a in self.INCONCLUSIVE:
+            assert check(Pretzel(a), oracle_cap=0).verdict == "bound_inconclusive", a
+
+    def test_enumeration_report_unchanged_without_it(self, monkeypatch):
+        def report():
+            r = enumerate_pretzels(6)
+            r.elapsed_seconds = 0.0
+            return dataclasses.asdict(r)
+
+        with_certificate = report()
+        monkeypatch.setattr(verify, "adams_log_certificate", lambda d, faces: False)
+        assert report() == with_certificate
+
+
 class TestPretzelClosedForms:
     def test_face_vector_matches_diagram(self):
         rng = random.Random(5)
@@ -270,6 +346,7 @@ class TestEnumerate:
             return r
 
         monkeypatch.setattr(verify, "bound_report", fake_bound_report)
+        monkeypatch.setattr(verify, "adams_log_certificate", lambda d, faces: False)
         report = enumerate_pretzels(3)
         assert report.violations == [(checked[0], -0.5)]
         assert report.checked == len(checked) > 1
@@ -314,6 +391,7 @@ class TestEnumerate:
             return r
 
         monkeypatch.setattr(verify, "bound_report", spy)
+        monkeypatch.setattr(verify, "adams_log_certificate", lambda d, faces: False)
         enumerate_pretzels(5)
         monkeypatch.undo()
         assert len(seen) > 1000
@@ -337,6 +415,7 @@ class TestEnumerate:
 
         monkeypatch.setattr(verify, "canonical_arrangements", arrangements_spy)
         monkeypatch.setattr(verify, "bound_report", bound_report_spy)
+        monkeypatch.setattr(verify, "adams_log_certificate", lambda d, faces: False)
         report = enumerate_pretzels(6)
         frontier, visited = [], []
         for n in range(3, 7):
@@ -487,6 +566,18 @@ class TestSweep:
                 ).split(",")
             )
         ]
+
+
+@pytest.mark.parametrize("run", [
+    lambda cap: check(TwoBridge((2, 2, 2)), oracle_cap=cap),
+    lambda cap: sweep("R", 3, oracle_cap=cap),
+    lambda cap: enumerate_pretzels(3, oracle_cap=cap),
+], ids=["check", "sweep", "enumerate_pretzels"])
+def test_negative_oracle_cap(run):
+    # a negative cap used to run with no oracle at all
+    with pytest.raises(ValueError, match="oracle_cap must be >= 0"):
+        run(-1)
+    run(0)
 
 
 class TestSerialization:
