@@ -301,15 +301,11 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
             # in an (a_n + 1)-gon under its cap; the tops of columns (1,2) and
             # (3,4) join
             faces.update((a[0] + 1, a[-1] + 1, s2 + 1, s1 + 1))
-        if n <= 2:
-            # R(a_1,a_2): the faces of sizes a_1 + 1 and a_2 + 1 touch both
-            # blocks, so either entry being 1 joins them
-            t = 1 if n == 1 or 1 in a else 2
-        else:
-            # the (a_1 + 1)-gon joins blocks 1, 2 when a_1 = 1, the (a_n + 1)-gon
-            # blocks n-1, n when a_n = 1; column (3,4) is a bigon only for
-            # R(1,x,1), whose blocks those two joins already connect
-            t = n - (a[0] == 1) - (a[-1] == 1)
+        # the (a_1 + 1)-gon joins blocks 1, 2 when a_1 = 1, the (a_n + 1)-gon
+        # blocks n-1, n when a_n = 1; column (3,4) is a bigon only for
+        # R(1,x,1), whose blocks those two joins already connect.  For n = 2
+        # both joins are the same one, and a single block is one region.
+        t = max(1, n - (a[0] == 1) - (a[-1] == 1))
         if n == 1:
             reason = "single twist region: a (2,k) torus link"
         elif a == (1, 1):
@@ -331,26 +327,24 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
             reason = "closure is a (2,k) torus link"
     elif isinstance(spec, Pretzel):
         a, n = spec.a, len(spec.a)
-        if n <= 2:  # a (2,k) torus diagram: k bigons, two k-gons, one region
+        if n <= 2 or all(x == 1 for x in a):
+            # a (2,k) torus diagram, k = sum(a), with R(k)'s record: k bigons,
+            # two k-gons, one region (for all ones every face between
+            # crossings is a bigon)
             k, t = sum(a), 1
             faces[2] += k
             faces[k] += 2
-            # equivalent to a 2-bridge chain with a single twist region
-            reason = "a pretzel on <= 2 strands is a (2,k) torus link"
+            reason = ("a pretzel on <= 2 strands is a (2,k) torus link" if n <= 2
+                      else "all-ones pretzel is the (2,n) torus link")
         else:
             # an (a_{i-1} + a_i)-gon between consecutive regions (cyclically),
             # a bigon per extra crossing inside a region, and the two n-gons
-            # through the middle
+            # through the middle; cyclically adjacent single-crossing regions
+            # share a bigon and merge
             faces.update(a[i - 1] + x for i, x in enumerate(a))
             faces[2] += sum(a) - n
             faces[n] += 2
-            if all(x == 1 for x in a):  # every face between crossings is a bigon
-                t = 1
-                reason = "all-ones pretzel is the (2,n) torus link"
-            else:
-                # cyclically adjacent single-crossing regions share a bigon
-                # and merge
-                t = n - sum(a[i - 1] == x == 1 for i, x in enumerate(a))
+            t = n - sum(a[i - 1] == x == 1 for i, x in enumerate(a))
     elif isinstance(spec, Weaving4):
         # columns (1,2) and (3,4) are triangles, (2,3) squares; the inner and
         # outer faces meet the n s1 and the n s3 crossings, and are bigons,

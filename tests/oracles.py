@@ -5,7 +5,8 @@ Bareiss elimination of ``{column: entry}`` rows.  The tests check that count
 against routines that share no code with it:
 
 * brute-force enumeration of edge subsets (small graphs only);
-* deletion-contraction recursion;
+* series-parallel reduction in exact ``Fraction`` weights, with
+  deletion-contraction only where no reduction applies;
 * ``spanning_tree_count_dense``: the dense ``laplacian`` and the same minor,
   by ``dense_bareiss_det``, fraction-free elimination of any square integer
   matrix over every column right of the pivot, with row swaps.
@@ -27,6 +28,7 @@ Edges are identified by their index in the edge list, which is what
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 from detvol.families import _lucas_v, pretzel_det
@@ -226,46 +228,65 @@ def contract(g: Multigraph, edge_index: int) -> Multigraph:
 
 
 def spanning_tree_count_deletion_contraction(g: Multigraph) -> int:
-    """Spanning trees via the recursion tau(G) = tau(G-e) + tau(G/e).
+    """Spanning trees by series-parallel reduction, branching only when stuck.
 
-    Parallel copies of the pivot edge are handled in one step (deleting the
-    whole bundle versus contracting one copy, which turns the rest into
-    discardable loops), and loops are dropped up front.
+    The graph is held as ``{v: {u: weight}}`` with exact ``Fraction``
+    weights, and tau counts each spanning tree by the product of its edge
+    weights.  Loops are dropped and parallel edges merged by adding their
+    weights.  Then, while a vertex has at most two neighbours:
+
+    * a pendant edge of weight w multiplies tau by w and leaves with its leaf;
+    * a degree-2 vertex with edge weights w1, w2 multiplies tau by w1 + w2
+      and leaves one edge of weight w1*w2/(w1 + w2) between its neighbours;
+    * an isolated vertex, with other vertices left, makes tau 0.
+
+    Only a graph with every vertex of degree >= 3 branches, on an edge e, as
+    tau(G) = tau(G - e) + w_e * tau(G/e).  2-bridge and pretzel Tait graphs
+    are series-parallel, so they reduce with no branching.
     """
+    adj = {v: {} for v in range(g.vertex_count)}
+    for (u, v) in g.edges:
+        if u != v:
+            adj[u][v] = adj[v][u] = adj[u].get(v, 0) + Fraction(1)
+    tau = _weighted_tree_count(adj)
+    assert tau.denominator == 1, tau
+    return tau.numerator
 
-    def rec(n: int, edges: list[tuple[int, int]]) -> int:
-        edges = [e for e in edges if e[0] != e[1]]
-        if len(edges) < n - 1:
-            return 0
-        if n == 1:
-            return 1
-        # an isolated vertex leaves the graph disconnected: no spanning trees
-        deg = [0] * n
-        for (u, v) in edges:
-            deg[u] += 1
-            deg[v] += 1
-        if 0 in deg:
-            return 0
-        u, v = edges[-1]
-        mult = 0
-        rest = []
-        for (a, b) in edges:
-            if (a, b) == (u, v) or (a, b) == (v, u):
-                mult += 1
-            else:
-                rest.append((a, b))
-        # tau = tau(without the whole bundle) + mult * tau(bundle contracted)
-        without = rec(n, rest)
-        lo, hi = min(u, v), max(u, v)
-        merged = [
-            (lo if a == hi else (a - 1 if a > hi else a),
-             lo if b == hi else (b - 1 if b > hi else b))
-            for (a, b) in rest
-        ]
-        contracted = rec(n - 1, merged)
-        return without + mult * contracted
 
-    return rec(g.vertex_count, list(g.edges))
+def _weighted_tree_count(adj: dict[int, dict[int, Fraction]]) -> Fraction:
+    """Weighted spanning-tree count of ``adj``, which it consumes."""
+    factor = Fraction(1)
+    todo = list(adj)
+    while todo and len(adj) > 1:
+        v = todo.pop()
+        if v not in adj or len(adj[v]) > 2:
+            continue
+        nbrs = adj.pop(v)
+        if not nbrs:
+            return Fraction(0)
+        for x in nbrs:
+            del adj[x][v]
+            todo.append(x)
+        if len(nbrs) == 1:
+            (w,) = nbrs.values()
+            factor *= w
+        else:
+            (x, w1), (y, w2) = nbrs.items()
+            factor *= w1 + w2
+            adj[x][y] = adj[y][x] = adj[x].get(y, 0) + w1 * w2 / (w1 + w2)
+    if len(adj) == 1:
+        return factor
+    u = next(iter(adj))
+    v, w = next(iter(adj[u].items()))
+    deleted = {x: dict(nbrs) for x, nbrs in adj.items()}
+    del deleted[u][v], deleted[v][u]
+    # contract: v's edges move to u, and the u-v edge would be a loop
+    contracted = adj
+    for x, wx in contracted.pop(v).items():
+        del contracted[x][v]
+        if x != u:
+            contracted[u][x] = contracted[x][u] = contracted[u].get(x, 0) + wx
+    return factor * (_weighted_tree_count(deleted) + w * _weighted_tree_count(contracted))
 
 
 def canonical_arrangements_by_permutation(multiset):

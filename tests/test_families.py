@@ -400,6 +400,27 @@ class TestDiagrams:
                         ("P(2,3)", 1)]:
             assert fam.closed_form(parse_spec(text)).twist_count == t, text
 
+    def test_torus_pretzels_and_two_bridge_twist_rule(self):
+        # P(a), P(a,b) and P(1,...,1) are all the (2,k) torus link R(k),
+        # k = sum(a), at sizes past the face-data test's compositions
+        specs = ([Pretzel((a,)) for a in range(1, 41)]
+                 + [Pretzel((a, b)) for a in range(1, 21) for b in range(1, 21)]
+                 + [Pretzel((1,) * n) for n in range(3, 41)])
+        for p in specs:
+            r = TwoBridge((sum(p.a),))
+            cp, cr = closed_form(p), closed_form(r)
+            assert cp.faces == cr.faces, p
+            assert cp.twist_count == cr.twist_count == 1, p
+            assert cp.crossing_count == cr.crossing_count == sum(p.a), p
+            assert cp.nonhyperbolic and cr.nonhyperbolic, p
+            assert fam.det(p) == fam.det(r) == sum(p.a), p
+        # one 2-bridge twist rule for every n: max(1, n - [a_1 = 1] - [a_n = 1])
+        for a in ([(x,) for x in range(1, 16)]
+                  + list(product(range(1, 16), repeat=2))
+                  + [(1, x, 1) for x in range(1, 16)]):
+            spec = TwoBridge(a)
+            assert closed_form(spec).twist_count == to_diagram(spec).twist_count, spec
+
     def test_weaving_face_vectors(self):
         for n in (5, 8):
             d = to_diagram(Weaving4(n))
