@@ -13,7 +13,11 @@ trees, and for an alternating link that number is the link determinant.
 
 Builders are provided for braid closures, 4-plat closures, and pretzel
 diagrams (the medial of a necklace: a cycle of parallel-edge bundles, which
-is the pretzel's checkerboard graph).
+is the pretzel's checkerboard graph).  A builder knows which darts make up
+each arc, so it hands that pairing to the code; a PD code read from user
+input is paired by its arc labels.  Either way the code is checked and
+traversed once when built, and that one traversal also numbers the Tait
+graph vertices, counts the faces of each size and collects the bigons.
 """
 
 from __future__ import annotations
@@ -25,30 +29,57 @@ from .hypvol import FaceVector
 from .multigraph import Multigraph
 
 
+class _Orbits(list):
+    """Face orbits, with what their one traversal also found.
+
+    ``vertex[d]`` numbers the face leaving dart d within its color,
+    ``count[color]`` is the number of faces of each color, ``sizes`` counts
+    the faces of each size and ``bigons`` lists the 2-sided faces.
+    """
+
+    __slots__ = ("vertex", "count", "sizes", "bigons")
+
+
 class PDCode:
-    """A 4-valent plane map: ccw 4-tuples of arcs, paired, colored and traversed when built."""
+    """A 4-valent plane map: ccw 4-tuples of arcs, paired, colored and traversed when built.
+
+    ``PDCode(crossings)`` pairs the darts by their arc labels; the builders
+    below pass the pairing they already know to ``PDCode._paired``.
+    """
 
     __slots__ = ("crossings", "_partner", "_flip", "_orbits")
 
     def __init__(self, crossings):
-        self.crossings = [tuple(map(int, t)) for t in crossings]
-        if not self.crossings:
-            raise ValueError("PD code needs at least one crossing")
-        for t in self.crossings:
+        crossings = [tuple(map(int, t)) for t in crossings]
+        for t in crossings:
             if len(t) != 4:
                 raise ValueError(f"crossing {t} does not have 4 slots")
-        labels = [a for t in self.crossings for a in t]
-        self._partner = partner = [-1] * len(labels)
+        labels = [a for t in crossings for a in t]
+        partner = [-1] * len(labels)
         first: dict[int, int] = {}  # label -> its first dart
         for d, a in enumerate(labels):
             e = first.setdefault(a, d)
-            if e != d:
+            if e != d and partner[e] < 0:  # a third dart of one label stays unpaired
                 partner[d], partner[e] = e, d
-        # 4n darts, 2n labels and no label seen once: each is seen exactly twice
-        if 2 * len(first) != len(labels) or -1 in partner:
+        self._init(crossings, partner)
+
+    @classmethod
+    def _paired(cls, crossings: list[tuple[int, int, int, int]], partner: list[int]) -> PDCode:
+        """The code of ``crossings`` with its darts paired by ``partner`` (-1: unpaired)."""
+        pd = cls.__new__(cls)
+        pd._init(crossings, partner)
+        return pd
+
+    def _init(self, crossings, partner) -> None:
+        if not crossings:
+            raise ValueError("PD code needs at least one crossing")
+        if -1 in partner:  # some label is not seen exactly twice
+            labels = (a for t in crossings for a in t)
             bad = {a: k for a, k in Counter(labels).items() if k != 2}  # first-seen order
             raise ValueError(f"arcs must appear exactly twice; offenders: {bad}")
-        self._orbits: list[list[int]] | None = None
+        self.crossings = crossings
+        self._partner = partner
+        self._orbits: _Orbits | None = None
         self._validate()
 
     def _validate(self) -> None:
@@ -92,26 +123,37 @@ class PDCode:
     def face_orbits(self) -> list[list[int]]:
         """Faces as dart cycles of the map (next = rotate the partner dart).
 
-        The list is the code's own, traversed once when built; callers must not change it.
+        The list is the code's own, traversed once when built; callers must
+        not change it.  The traversal also numbers each face within its
+        color, counts the faces of each size and collects the bigons, which
+        ``checkerboard_graphs``, ``faces`` and ``twist_regions`` read.
         """
         partner = self.partner()
         if self._orbits is not None:
             return self._orbits
-        faces: list[list[int]] = []
-        seen = [False] * len(partner)
+        flip = self._flip
+        vertex = [-1] * len(partner)
+        count = [0, 0]
+        faces = []
         for start in range(len(partner)):
-            if seen[start]:
+            if vertex[start] >= 0:
                 continue
+            color = (start + flip[start // 4]) % 2
+            v = count[color]
+            count[color] = v + 1
             face = []
             d = start
-            while not seen[d]:  # the orbit is a cycle: it ends back at start
+            while vertex[d] < 0:  # the orbit is a cycle: it ends back at start
                 face.append(d)
-                seen[d] = True
+                vertex[d] = v
                 p = partner[d]
                 d = p - 3 if p % 4 == 3 else p + 1
             faces.append(face)
-        self._orbits = faces
-        return faces
+        orbits = self._orbits = _Orbits(faces)
+        orbits.vertex, orbits.count = vertex, count
+        orbits.sizes = Counter(map(len, faces))
+        orbits.bigons = [f for f in faces if len(f) == 2]
+        return orbits
 
 
 def _root(parent: dict[int, int], x: int) -> int:
@@ -135,7 +177,7 @@ def _classes(n: int, groups) -> int:
 
 def faces(pd: PDCode) -> FaceVector:
     """Face-size multiset of the diagram."""
-    return FaceVector(Counter(map(len, pd.face_orbits())))
+    return FaceVector(pd.face_orbits().sizes)
 
 
 def checkerboard_graphs(pd: PDCode) -> tuple[Multigraph, Multigraph]:
@@ -146,22 +188,20 @@ def checkerboard_graphs(pd: PDCode) -> tuple[Multigraph, Multigraph]:
     containing dart 1 (crossing 0, slot 1).
     """
     orbits = pd.face_orbits()
-    flip = pd._flip
-    n = pd.crossing_count
-    vertex = [0] * (4 * n)  # dart -> its face's number within its color
-    sizes = [0, 0]
-    for f in orbits:
-        color = (f[0] + flip[f[0] // 4]) % 2
-        for d in f:
-            vertex[d] = sizes[color]
-        sizes[color] += 1
-    edges: tuple[list, list] = ([], [])
-    for ci in range(n):
-        for color in (0, 1):
-            # slots s and s + 2 leave the two corners of this color
-            s = 2 - (color + flip[ci]) % 2
-            edges[color].append((vertex[4 * ci + s], vertex[4 * ci + (s + 2) % 4]))
-    return Multigraph(sizes[1], edges[1]), Multigraph(sizes[0], edges[0])
+    vertex = orbits.vertex
+    # slots 2 and 0 of crossing ci leave faces of color flip[ci], slots 1 and 3 the other
+    even = zip(vertex[2::4], vertex[0::4])
+    odd = zip(vertex[1::4], vertex[3::4])
+    white, shaded = [], []
+    for f, e, o in zip(pd._flip, even, odd):
+        if f:
+            white.append(o)
+            shaded.append(e)
+        else:
+            white.append(e)
+            shaded.append(o)
+    count = orbits.count
+    return Multigraph(count[1], shaded), Multigraph(count[0], white)
 
 
 def twist_regions(pd: PDCode) -> int:
@@ -170,7 +210,7 @@ def twist_regions(pd: PDCode) -> int:
     Crossings joined by a bigon face belong to the same region; every
     crossing in no bigon is a region by itself.
     """
-    return _classes(pd.crossing_count, [f for f in pd.face_orbits() if len(f) == 2])
+    return _classes(pd.crossing_count, pd.face_orbits().bigons)
 
 
 @dataclass(frozen=True)
@@ -199,33 +239,60 @@ def analyze(pd: PDCode) -> Diagram:
 # builders
 
 
-def _walk(arc: list[int], word: list[int]) -> list[tuple[int, int, int, int]]:
+def _walk(arc: list[int], word: list[int]):
     """Crossings of ``word`` on strands entering with labels ``arc``.
 
     Each crossing gives its two outgoing strands fresh labels; ``arc`` is
-    updated in place to the labels leaving the word.
+    updated in place to the labels leaving the word.  Returns the crossings,
+    their dart pairing (-1 at an open dart) and the open darts: the in-darts
+    that take an entering label and the out-darts of the leaving labels.
     """
     nxt = max(arc) + 1
+    out = [-1] * len(arc)  # the dart each label of ``arc`` leaves, -1 for an entering one
     crossings = []
+    partner = [-1] * (4 * len(word))
+    loose = []
+    d = 0  # crossing i has darts 4i .. 4i + 3
     for k in word:
         if not (1 <= k < len(arc)):
             raise ValueError(f"position {k} out of range")
         a, b = arc[k - 1], arc[k]
         crossings.append((a, b, nxt + 1, nxt))  # ccw: in-left, in-right, out-right, out-left
+        for din, e in ((d, out[k - 1]), (d + 1, out[k])):
+            if e < 0:
+                loose.append(din)
+            else:
+                partner[din], partner[e] = e, din
         arc[k - 1], arc[k] = nxt, nxt + 1
+        out[k - 1], out[k] = d + 3, d + 2
         nxt += 2
-    return crossings
+        d += 4
+    loose += [e for e in out if e >= 0]
+    return crossings, partner, loose
 
 
-def _closed(crossings, joins) -> PDCode:
-    """The PD code of ``crossings`` once each label pair in ``joins`` is one arc."""
+def _closed(crossings, partner, loose, joins) -> PDCode:
+    """The PD code of walked ``crossings`` once each label pair in ``joins`` is one arc.
+
+    Only the ``loose`` darts change: each takes its arc's representative
+    label and is paired with the arc's other loose dart.
+    """
     ident: dict[int, int] = {}
     for x, y in joins:
         fx, fy = _root(ident, x), _root(ident, y)
         if fx != fy:
             ident[fx] = fy
-    g = {x: _root(ident, x) for x in ident}.get
-    return PDCode([(g(a, a), g(b, b), g(c, c), g(d, d)) for a, b, c, d in crossings])
+    first: dict[int, int] = {}  # representative label -> its first loose dart
+    for d in loose:
+        ci, s = divmod(d, 4)
+        t = crossings[ci]
+        r = _root(ident, t[s])
+        if r != t[s]:
+            crossings[ci] = t[:s] + (r,) + t[s + 1 :]
+        e = first.setdefault(r, d)
+        if e != d and partner[e] < 0:  # a third dart of one label stays unpaired
+            partner[d], partner[e] = e, d
+    return PDCode._paired(crossings, partner)
 
 
 def braid_closure_pd(strands: int, word: list[int]) -> PDCode:
@@ -245,15 +312,15 @@ def braid_closure_pd(strands: int, word: list[int]) -> PDCode:
     if touched != set(range(1, strands + 1)):
         raise ValueError("every strand must participate in a crossing")
     arc = list(range(strands))
-    crossings = _walk(arc, word)
-    return _closed(crossings, zip(arc, range(strands)))
+    crossings, partner, loose = _walk(arc, word)
+    return _closed(crossings, partner, loose, zip(arc, range(strands)))
 
 
 def plat_closure_pd(word: list[int], top_caps: list[tuple[int, int]]) -> PDCode:
     """Plat closure of a 4-strand word: bottom caps (1,2),(3,4), given top caps."""
     arc = [0, 0, 1, 1]
-    crossings = _walk(arc, word)
-    return _closed(crossings, [(arc[i - 1], arc[j - 1]) for (i, j) in top_caps])
+    crossings, partner, loose = _walk(arc, word)
+    return _closed(crossings, partner, loose, [(arc[i - 1], arc[j - 1]) for (i, j) in top_caps])
 
 
 def medial_pd(bundles: list[int]) -> PDCode:
@@ -282,7 +349,16 @@ def medial_pd(bundles: list[int]) -> PDCode:
         for j in range(a):
             crossings.append((far - j - 1, base + j, base + (j - 1) % k, far - j))
         base += k
-    return PDCode(crossings)
+    # the labels are the 2c corners 0 .. base - 1, so a list pairs their darts
+    first = [-1] * base
+    partner = [-1] * (2 * base)
+    for d, label in enumerate([a for t in crossings for a in t]):
+        e = first[label]
+        if e < 0:
+            first[label] = d
+        elif partner[e] < 0:  # a third dart of one label stays unpaired
+            partner[d], partner[e] = e, d
+    return PDCode._paired(crossings, partner)
 
 
 # ---------------------------------------------------------------------------

@@ -298,8 +298,10 @@ class EnumerationReport:
 
 # enumerate_pretzels keeps at most this many frontier corners in its report
 FRONTIER_LIMIT = 10000
-# largest t_max enumerate_pretzels accepts
-MAX_ENUMERATION_T = 200
+# largest t_max enumerate_pretzels accepts.  Each t costs about 8 times the
+# one before: on two cores --t-max 8 took 9.1-9.5 s and --t-min 9 --t-max 9
+# 70.6-76.8 s, so t = 10 alone runs about ten minutes and t = 12 most of a day.
+MAX_ENUMERATION_T = 10
 
 
 def enumerate_pretzels(

@@ -63,6 +63,15 @@ class TestPDValidation:
         pd = PDCode(TREFOIL_PD)
         assert pd.crossing_count == 3
 
+    def test_builder_pairings(self):
+        # builders hand their dart pairing to PDCode._paired; it makes the same checks
+        with pytest.raises(ValueError, match=r"exactly twice; offenders: \{1: 1, 2: 1\}$"):
+            PDCode._paired([(0, 0, 1, 2)], [1, 0, -1, -1])
+        with pytest.raises(ValueError, match="not connected"):
+            PDCode._paired([(0, 0, 1, 1), (2, 2, 3, 3)], [1, 0, 3, 2, 5, 4, 7, 6])
+        with pytest.raises(ValueError, match="does not close up to a sphere map"):
+            PDCode._paired([(0, 1, 0, 1)], [2, 3, 0, 1])
+
 
 class TestDarts:
     """Dart 4*ci + s is slot s of crossing ci."""
@@ -357,6 +366,31 @@ def test_analyze_matches_reference(specs):
         assert diag.twist_count == twist, spec
         assert (diag.shaded.vertex_count, diag.shaded.edges) == shaded, spec
         assert (diag.white.vertex_count, diag.white.edges) == white, spec
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        pytest.param(lambda: sweep_specs("R", 14), id="R<=14"),
+        pytest.param(lambda: sweep_specs("B", 12), id="B<=12"),
+        pytest.param(lambda: sweep_specs("P", 12), id="P<=12"),
+        pytest.param(lambda: [Weaving4(n) for n in range(1, 241)], id="W<=240"),
+    ],
+)
+def test_builders_match_label_pairing(specs):
+    # a builder's own dart pairing gives what pairing its crossings by label gives
+    for spec in specs():
+        diag = to_diagram(spec)
+        pd = PDCode(diag.pd.crossings)
+        again = analyze(pd)
+        assert diag.pd.crossings == pd.crossings, spec
+        assert diag.pd.partner() == pd.partner(), spec
+        assert diag.pd.face_orbits() == pd.face_orbits(), spec
+        assert (diag.faces, diag.twist_count) == (again.faces, again.twist_count), spec
+        assert (diag.shaded.vertex_count, diag.shaded.edges) == (
+            again.shaded.vertex_count, again.shaded.edges), spec
+        assert (diag.white.vertex_count, diag.white.edges) == (
+            again.white.vertex_count, again.white.edges), spec
 
 
 def test_analyze_figure_eight_matches_reference():
