@@ -439,7 +439,10 @@ def parse_spec(text: str) -> FamilySpec:
     return ThreeBraid(tuple((flat[2 * i], flat[2 * i + 1]) for i in range(len(flat) // 2)))
 
 
+_FAMILY_NAMES = {
+    TwoBridge: "2-bridge", ThreeBraid: "3-braid", Pretzel: "pretzel", Weaving4: "weaving"
+}
+
+
 def family_name(spec: FamilySpec) -> str:
-    return {TwoBridge: "2-bridge", ThreeBraid: "3-braid", Pretzel: "pretzel", Weaving4: "weaving"}[
-        type(spec)
-    ]
+    return _FAMILY_NAMES[type(spec)]

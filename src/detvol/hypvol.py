@@ -116,6 +116,9 @@ class FaceVector:
     A reduced alternating diagram has all faces of size >= 2; size-1 faces
     can appear for non-reduced inputs (a kinked unknot diagram) and are
     representable here, but the volume bounds below reject them.
+
+    A face vector is not mutated after it is built, so it hashes by its
+    ascending ``(size, count)`` items and the bounds below can memoize on it.
     """
 
     __slots__ = ("counts",)
@@ -155,16 +158,21 @@ class FaceVector:
             return self.counts == {k: v for k, v in other.items() if v}
         return isinstance(other, FaceVector) and self.counts == other.counts
 
+    def __hash__(self):
+        return hash(tuple(self.counts.items()))
+
     def __repr__(self):
         return f"FaceVector({self.counts})"
 
 
+@lru_cache(maxsize=4096)
 def adams_bound_exact(faces: FaceVector) -> Real:
     """Bipyramid volume bound: sum b_n vol(B_n) minus the two largest faces.
 
     The claimed error adds up the claimed errors of all sum b_n + 2 volumes,
     plus an ulp of the sum for the rounding of each product b_n vol(B_n), of
-    the ``fsum`` and of the subtraction.
+    the ``fsum`` and of the subtraction.  Memoized like ``bipyramid_volume``;
+    a rejected face vector raises on every call.
     """
     r, s = faces.two_largest()
     vols = [(b, bipyramid_volume(n)) for n, b in faces.counts.items()]
@@ -175,12 +183,15 @@ def adams_bound_exact(faces: FaceVector) -> Real:
     return Real(v, err + (len(vols) + 2) * math.ulp(total))
 
 
+@lru_cache(maxsize=4096)
 def adams_bound_log(faces: FaceVector) -> Real:
     """Closed form 2*pi*sum b_n log(n/2) over the faces but the two largest.
 
     One term per face size, each >= 0: bigons add exactly 0 and nothing
     cancels.  Each log is within an ulp, so all sum b_n copies are within 2
     ulp of the sum; each product, the ``fsum`` and 2*pi round once more.
+    Memoized like ``bipyramid_volume``; a rejected face vector raises on
+    every call.
     """
     r, s = faces.two_largest()
     terms = [(b - (n == r) - (n == s)) * math.log(n / 2) for n, b in faces.counts.items()]

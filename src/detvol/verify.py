@@ -299,8 +299,8 @@ class EnumerationReport:
 # enumerate_pretzels keeps at most this many frontier corners in its report
 FRONTIER_LIMIT = 10000
 # largest t_max enumerate_pretzels accepts.  Each t costs about 8 times the
-# one before: on two cores --t-max 8 took 9.1-9.5 s and --t-min 9 --t-max 9
-# 70.6-76.8 s, so t = 10 alone runs about ten minutes and t = 12 most of a day.
+# one before: on two cores --t-max 8 took 8.5-8.7 s and --t-min 9 --t-max 9
+# 73.7-75.9 s, so t = 10 alone runs about ten minutes and t = 12 most of a day.
 MAX_ENUMERATION_T = 10
 
 
@@ -512,12 +512,12 @@ def report_row(r: BoundReport) -> dict[str, str | int | float | None]:
 
 
 def reports_to_csv(reports: list[BoundReport]) -> str:
-    # the csv module writes None as "" and a float as its repr
+    # report_row's keys come in CSV_COLUMNS order; the csv module writes
+    # None as "" and a float as its repr
     buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    w.writeheader()
-    for r in reports:
-        w.writerow(report_row(r))
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_COLUMNS)
+    w.writerows(report_row(r).values() for r in reports)
     return buf.getvalue()
 
 

@@ -9,6 +9,7 @@ import sys
 import mpmath as mp
 import pytest
 
+from detvol.cli import main
 from detvol.families import TwoBridge, Weaving4, closed_form, parse_spec
 from detvol.hypvol import (
     GAMMA,
@@ -18,6 +19,7 @@ from detvol.hypvol import (
     XI,
     ZETA,
     FaceVector,
+    Real,
     adams_bound_exact,
     adams_bound_log,
     bipyramid_volume,
@@ -26,6 +28,7 @@ from detvol.hypvol import (
     montesinos_bound,
     stoimenow_lower_bound,
 )
+from detvol.verify import sweep_specs
 from oracles import compositions_upto
 
 mp.mp.dps = 30
@@ -312,6 +315,55 @@ class TestAdamsBounds:
     def test_rejects_monogons(self):
         with pytest.raises(ValueError):
             adams_bound_log(FaceVector({1: 2, 2: 1}))
+
+
+class TestAdamsMemo:
+    def test_memo_matches_unmemoized(self):
+        specs = [
+            *sweep_specs("R", 12), *sweep_specs("B", 10), *sweep_specs("P", 10),
+            *(Weaving4(n) for n in range(2, 81)),
+        ]
+        rejected = 0
+        for fv in {closed_form(spec).faces for spec in specs}:
+            for bound in (adams_bound_exact, adams_bound_log):
+                try:
+                    expected = bound.__wrapped__(fv)
+                except ValueError:  # a monogon: the memoized bound rejects it too
+                    rejected += 1
+                    with pytest.raises(ValueError):
+                        bound(fv)
+                    continue
+                for _ in range(2):  # the second call is a memo hit
+                    got = bound(fv)
+                    assert isinstance(got, Real) and got == expected, (bound, fv)
+        assert rejected == 20  # the 10 non-reduced 2-bridge vectors, under both bounds
+
+    def test_hash_agrees_with_eq(self):
+        pairs = [
+            (FaceVector({2: 3, 5: 1, 3: 4}), FaceVector({5: 1, 3: 4, 2: 3})),
+            (FaceVector({2: 3, 4: 0, 3: 4}), FaceVector({3: 4, 2: 3})),
+            (FaceVector({7: 0}), FaceVector({})),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b), (a, b)
+        assert adams_bound_log(pairs[0][0]) is adams_bound_log(pairs[0][1])
+        assert FaceVector({2: 3, 3: 4}) != FaceVector({2: 4, 3: 3})
+
+    def test_rejections_are_not_cached(self):
+        # lru_cache stores no exception, so a rejected vector raises every time
+        for _ in range(2):
+            for bound in (adams_bound_exact, adams_bound_log):
+                with pytest.raises(ValueError, match="monogon"):
+                    bound(FaceVector({1: 2, 2: 1}))
+            with pytest.raises(ValueError, match=r"2\*\*53"):
+                adams_bound_exact(FaceVector({2**53 + 1: 2, 3: 1}))
+
+    def test_oversized_face_exits_one(self, capsys):
+        for _ in range(2):
+            assert main(["check", "R(1,9007199254740993)"]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == "error: bipyramid needs n <= 2**53, where n is exact as a float\n"
 
 
 def _v4_v8_gamma():
