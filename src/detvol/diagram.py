@@ -200,9 +200,8 @@ def checkerboard_graphs(pd: PDCode) -> tuple[Multigraph, Multigraph]:
         else:
             white.append(e)
             shaded.append(o)
-    # every endpoint is a face number the traversal gave out below count[color]
     count = orbits.count
-    return Multigraph._trusted(count[1], shaded), Multigraph._trusted(count[0], white)
+    return Multigraph(count[1], shaded), Multigraph(count[0], white)
 
 
 def twist_regions(pd: PDCode) -> int:

@@ -29,14 +29,6 @@ class Multigraph:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u}, {v}) out of range")
 
-    @classmethod
-    def _trusted(cls, vertex_count: int, edges: list[tuple[int, int]]) -> Multigraph:
-        """The graph with ``edges`` stored as given: int pairs already below ``vertex_count``."""
-        g = cls.__new__(cls)
-        g.vertex_count = vertex_count
-        g.edges = edges
-        return g
-
     def __repr__(self):
         return f"Multigraph({self.vertex_count}, {self.edges})"
 

@@ -18,7 +18,7 @@ from detvol.diagram import (
     twist_regions,
 )
 from detvol.families import ThreeBraid, TwoBridge, Weaving4, to_diagram
-from detvol.multigraph import Multigraph, spanning_tree_count
+from detvol.multigraph import spanning_tree_count
 from detvol.verify import sweep_specs
 from oracles import degree, format_pd_text
 
@@ -391,13 +391,6 @@ def test_builders_match_label_pairing(specs):
             again.shaded.vertex_count, again.shaded.edges), spec
         assert (diag.white.vertex_count, diag.white.edges) == (
             again.white.vertex_count, again.white.edges), spec
-        # the Tait graphs skip Multigraph's checks, which they would pass; the
-        # checked copy stores the same graph, so it has the same tree count
-        for g in (diag.shaded, diag.white):
-            assert all(0 <= u < g.vertex_count and 0 <= v < g.vertex_count
-                       for (u, v) in g.edges), spec
-            checked = Multigraph(g.vertex_count, g.edges)
-            assert (checked.vertex_count, checked.edges) == (g.vertex_count, g.edges), spec
 
 
 def test_analyze_figure_eight_matches_reference():
