@@ -16,7 +16,12 @@ from .kernels import bareiss_det
 
 
 class Multigraph:
-    """Undirected multigraph: a vertex count and a list of endpoint pairs."""
+    """Undirected multigraph: a vertex count and a list of endpoint pairs.
+
+    Every endpoint is an int below ``vertex_count``.  The edges are stored
+    as given, unchecked: no graph is built from outside input, and the Tait
+    graphs' endpoints are face numbers their own traversal gave out.
+    """
 
     __slots__ = ("vertex_count", "edges")
 
@@ -24,10 +29,7 @@ class Multigraph:
         if vertex_count < 1:
             raise ValueError("vertex_count must be >= 1")
         self.vertex_count = vertex_count
-        self.edges = [(int(u), int(v)) for (u, v) in edges]
-        for (u, v) in self.edges:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range")
+        self.edges = list(edges)
 
     def __repr__(self):
         return f"Multigraph({self.vertex_count}, {self.edges})"

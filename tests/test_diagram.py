@@ -391,6 +391,10 @@ def test_builders_match_label_pairing(specs):
             again.shaded.vertex_count, again.shaded.edges), spec
         assert (diag.white.vertex_count, diag.white.edges) == (
             again.white.vertex_count, again.white.edges), spec
+        # Multigraph stores its edges unchecked; every endpoint is a face number
+        for g in (diag.shaded, diag.white):
+            assert all(0 <= u < g.vertex_count and 0 <= v < g.vertex_count
+                       for (u, v) in g.edges), spec
 
 
 def test_analyze_figure_eight_matches_reference():
