@@ -299,8 +299,8 @@ class EnumerationReport:
 # enumerate_pretzels keeps at most this many frontier corners in its report
 FRONTIER_LIMIT = 10000
 # largest t_max enumerate_pretzels accepts.  Each t costs about 8 times the
-# one before: on two cores --t-max 8 took 8.5-8.7 s and --t-min 9 --t-max 9
-# 73.7-75.9 s, so t = 10 alone runs about ten minutes and t = 12 most of a day.
+# one before: on two cores --t-max 8 took 8.5 s and --t-min 9 --t-max 9
+# 71.8 s, so t = 10 alone runs about ten minutes and t = 12 most of a day.
 MAX_ENUMERATION_T = 10
 
 
