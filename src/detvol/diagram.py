@@ -13,11 +13,10 @@ trees, and for an alternating link that number is the link determinant.
 
 Builders are provided for braid closures, 4-plat closures, and pretzel
 diagrams (the medial of a necklace: a cycle of parallel-edge bundles, which
-is the pretzel's checkerboard graph).  A builder knows which darts make up
-each arc, so it hands that pairing to the code; a PD code read from user
-input is paired by its arc labels.  Either way the code is checked and
-traversed once when built, and that one traversal also numbers the Tait
-graph vertices, counts the faces of each size and collects the bigons.
+is the pretzel's checkerboard graph).  ``_walk`` pairs the darts it walks;
+every other dart (closure ends, medial corners, user input) is paired by
+label in ``_pair``.  A code is checked and traversed once when built; the
+traversal also numbers Tait vertices, counts face sizes and collects bigons.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ class _Orbits(list):
 class PDCode:
     """A 4-valent plane map: ccw 4-tuples of arcs, paired, colored and traversed when built.
 
-    ``PDCode(crossings)`` pairs the darts by their arc labels; the builders
-    below pass the pairing they already know to ``PDCode._paired``.
+    ``PDCode(crossings)`` pairs all darts by label; builders hand
+    ``PDCode._paired`` the pairing that ``_walk`` and ``_pair`` made.
     """
 
     __slots__ = ("crossings", "_partner", "_flip", "_orbits")
@@ -54,13 +53,8 @@ class PDCode:
         for t in crossings:
             if len(t) != 4:
                 raise ValueError(f"crossing {t} does not have 4 slots")
-        labels = [a for t in crossings for a in t]
-        partner = [-1] * len(labels)
-        first: dict[int, int] = {}  # label -> its first dart
-        for d, a in enumerate(labels):
-            e = first.setdefault(a, d)
-            if e != d and partner[e] < 0:  # a third dart of one label stays unpaired
-                partner[d], partner[e] = e, d
+        partner = [-1] * (4 * len(crossings))
+        _pair(crossings, partner, range(len(partner)))
         self._init(crossings, partner)
 
     @classmethod
@@ -161,6 +155,15 @@ def _root(parent: dict[int, int], x: int) -> int:
     while x in parent:
         x = parent[x]
     return x
+
+
+def _pair(crossings, partner, darts) -> None:
+    """Pair each of ``darts`` with the next of its label; a third stays unpaired (-1)."""
+    first: dict[int, int] = {}  # label -> its first dart
+    for d in darts:
+        e = first.setdefault(crossings[d // 4][d % 4], d)
+        if e != d and partner[e] < 0:
+            partner[d], partner[e] = e, d
 
 
 def _classes(n: int, groups) -> int:
@@ -282,16 +285,13 @@ def _closed(crossings, partner, loose, joins) -> PDCode:
         fx, fy = _root(ident, x), _root(ident, y)
         if fx != fy:
             ident[fx] = fy
-    first: dict[int, int] = {}  # representative label -> its first loose dart
     for d in loose:
         ci, s = divmod(d, 4)
         t = crossings[ci]
         r = _root(ident, t[s])
         if r != t[s]:
             crossings[ci] = t[:s] + (r,) + t[s + 1 :]
-        e = first.setdefault(r, d)
-        if e != d and partner[e] < 0:  # a third dart of one label stays unpaired
-            partner[d], partner[e] = e, d
+    _pair(crossings, partner, loose)
     return PDCode._paired(crossings, partner)
 
 
@@ -304,15 +304,10 @@ def braid_closure_pd(strands: int, word: list[int]) -> PDCode:
     """
     if strands < 2:
         raise ValueError("need at least 2 strands")
-    touched = set()
-    for k in word:
-        if not (1 <= k < strands):
-            raise ValueError(f"position {k} out of range")
-        touched.update((k, k + 1))
-    if touched != set(range(1, strands + 1)):
-        raise ValueError("every strand must participate in a crossing")
     arc = list(range(strands))
-    crossings, partner, loose = _walk(arc, word)
+    crossings, partner, loose = _walk(arc, word)  # range-checks every position
+    if len(set(word) | {k + 1 for k in word}) != strands:
+        raise ValueError("every strand must participate in a crossing")
     return _closed(crossings, partner, loose, zip(arc, range(strands)))
 
 
@@ -349,15 +344,8 @@ def medial_pd(bundles: list[int]) -> PDCode:
         for j in range(a):
             crossings.append((far - j - 1, base + j, base + (j - 1) % k, far - j))
         base += k
-    # the labels are the 2c corners 0 .. base - 1, so a list pairs their darts
-    first = [-1] * base
-    partner = [-1] * (2 * base)
-    for d, label in enumerate([a for t in crossings for a in t]):
-        e = first[label]
-        if e < 0:
-            first[label] = d
-        elif partner[e] < 0:  # a third dart of one label stays unpaired
-            partner[d], partner[e] = e, d
+    partner = [-1] * (4 * len(crossings))
+    _pair(crossings, partner, range(len(partner)))
     return PDCode._paired(crossings, partner)
 
 

@@ -390,7 +390,9 @@ def to_diagram(spec: FamilySpec) -> dgm.Diagram:
 # spec text syntax
 
 
-_SPEC_RE = re.compile(r"^\s*([RBPW])\s*\(\s*([0-9,;\s]*?)\s*\)\s*$")
+# A greedy body with no \s* beside it (ints() strips each entry) matches a long
+# whitespace run in linear time; a lazy body between two \s* is cubic in it.
+_SPEC_RE = re.compile(r"\s*([RBPW])\s*\(([0-9,;\s]*)\)\s*")
 
 
 def parse_spec(text: str) -> FamilySpec:
@@ -399,7 +401,7 @@ def parse_spec(text: str) -> FamilySpec:
     For B, the flat form interleaves a and b: B(a1,b1,a2,b2,...).  The
     semicolon form gives the a-list then the b-list: B(a1,..,an;b1,..,bn).
     """
-    m = _SPEC_RE.match(text)
+    m = _SPEC_RE.fullmatch(text)
     if not m:
         raise ValueError(
             f"cannot parse spec {text!r}: expected R(...), B(...), P(...) or W(n)"

@@ -55,9 +55,10 @@ class TestCheck:
         assert bounds == ["adams_exact", "adams_log", "lackenby", "montesinos"]
 
     def test_parse_error(self, capsys):
-        code, _, err = run(capsys, "check", "Z(1)")
-        assert code == 1
-        assert "error:" in err
+        for spec in ["Z(1)", "R(" + " " * 100_000]:
+            code, _, err = run(capsys, "check", spec)
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("spec, message", [
         # faces past 2**53 sides, where the bipyramid volume loses n

@@ -185,6 +185,11 @@ class TestBuilders:
             braid_closure_pd(3, [1, 1])
         with pytest.raises(ValueError, match="position 2 out of range"):
             braid_closure_pd(2, [2])
+        with pytest.raises(ValueError, match="every strand must participate"):
+            braid_closure_pd(3, [])
+        # _walk is the one range check, for plat closures too
+        with pytest.raises(ValueError, match="position 5 out of range"):
+            plat_closure_pd([2, 5], [(1, 2), (3, 4)])
 
     def test_pinned_crossings(self):
         # PD codes of the standard diagrams, recorded before the builders

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -528,12 +529,15 @@ class TestSpecSyntax:
 
     def test_whitespace(self):
         assert parse_spec(" R( 3 , 3 , 2 ) ") == TwoBridge((3, 3, 2))
+        assert parse_spec("P(" + " " * 100_000 + "2,3,7 )") == Pretzel((2, 3, 7))
 
     def test_errors(self):
         for bad in ["", "Q(1)", "R()", "B(1,2,3)", "W(2,3)", "R(1,x)", "B(1,2;3)",
-                    "R(1,,2)", "P(2,3,7,)", "B(1,2;3,)"]:
+                    "R(1,,2)", "P(2,3,7,)", "B(1,2;3,)", "R(" + " " * 3000]:
+            start = time.perf_counter()
             with pytest.raises(ValueError):
                 parse_spec(bad)
+            assert time.perf_counter() - start < 0.5  # no backtracking over whitespace
 
     def test_validation(self):
         with pytest.raises(ValueError):
