@@ -24,6 +24,7 @@ checked against, so it shares no code with them.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -395,6 +396,13 @@ def to_diagram(spec: FamilySpec) -> dgm.Diagram:
 _SPEC_RE = re.compile(r"\s*([RBPW])\s*\(([0-9,;\s]*)\)\s*")
 
 
+def _quote(text: str) -> str:
+    """The spec as an error message quotes it: past 60 characters, clipped, with its length."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:60]!r}... ({len(text)} characters)"
+
+
 def parse_spec(text: str) -> FamilySpec:
     """Parse 'R(3,3,2)', 'B(3,3,2,3)' or 'B(3,2;3,3)', 'P(2,3,7)', 'W(4)'.
 
@@ -404,18 +412,28 @@ def parse_spec(text: str) -> FamilySpec:
     m = _SPEC_RE.fullmatch(text)
     if not m:
         raise ValueError(
-            f"cannot parse spec {text!r}: expected R(...), B(...), P(...) or W(n)"
+            f"cannot parse spec {_quote(text)}: expected R(...), B(...), P(...) or W(n)"
         )
     kind, body = m.group(1), m.group(2)
+
+    def entry(p: str) -> int:
+        try:
+            return int(p)
+        except ValueError:
+            pass
+        limit = sys.get_int_max_str_digits()  # 0 means no limit
+        if p.isdigit() and 0 < limit < len(p):
+            raise ValueError(
+                f"entry of {len(p)} digits in spec {_quote(text)} is over "
+                f"Python's limit of {limit} digits for an integer"
+            )
+        raise ValueError(f"bad integer in spec {_quote(text)}")
 
     def ints(s: str) -> tuple[int, ...]:
         parts = [p.strip() for p in s.split(",")]
         if "" in parts:
-            raise ValueError(f"empty entry in spec {text!r}")
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"bad integer in spec {text!r}") from None
+            raise ValueError(f"empty entry in spec {_quote(text)}")
+        return tuple(map(entry, parts))
 
     if kind == "R":
         return TwoBridge(ints(body))
@@ -424,19 +442,19 @@ def parse_spec(text: str) -> FamilySpec:
     if kind == "W":
         vals = ints(body)
         if len(vals) != 1:
-            raise ValueError(f"W takes a single index, got {text!r}")
+            raise ValueError(f"W takes a single index, got {_quote(text)}")
         return Weaving4(vals[0])
     # B
     if ";" in body:
         a_part, b_part = body.split(";", 1)
         a_vals, b_vals = ints(a_part), ints(b_part)
         if len(a_vals) != len(b_vals):
-            raise ValueError(f"a-list and b-list lengths differ in {text!r}")
+            raise ValueError(f"a-list and b-list lengths differ in {_quote(text)}")
         return ThreeBraid(tuple(zip(a_vals, b_vals)))
     flat = ints(body)
     if len(flat) % 2 != 0:
         raise ValueError(
-            f"B needs an even count of entries (a1,b1,...,an,bn), got {text!r}"
+            f"B needs an even count of entries (a1,b1,...,an,bn), got {_quote(text)}"
         )
     return ThreeBraid(tuple((flat[2 * i], flat[2 * i + 1]) for i in range(len(flat) // 2)))
 

@@ -272,6 +272,20 @@ def canonical_arrangements(multiset):
         t += 1
 
 
+@functools.lru_cache(maxsize=16)
+def _bracelet_shapes(pattern: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """``canonical_arrangements`` of the multiset with ``pattern[i]`` copies of i.
+
+    A multiset's arrangements depend only on its multiplicity pattern: with
+    its distinct values ``vals`` in ascending order, mapping each shape
+    through ``vals`` gives its canonical arrangements in the same order,
+    since an increasing map keeps lexicographic order and commutes with
+    rotation and reflection.  The enumeration walks multisets of the same
+    pattern close together, so a few entries serve almost every multiset.
+    """
+    return tuple(canonical_arrangements([i for i, m in enumerate(pattern) for _ in range(m)]))
+
+
 @dataclass
 class EnumerationReport:
     t_min: int
@@ -299,8 +313,9 @@ class EnumerationReport:
 # enumerate_pretzels keeps at most this many frontier corners in its report
 FRONTIER_LIMIT = 10000
 # largest t_max enumerate_pretzels accepts.  Each t costs about 8 times the
-# one before: on two cores --t-max 8 took 8.5 s and --t-min 9 --t-max 9
-# 71.8 s, so t = 10 alone runs about ten minutes and t = 12 most of a day.
+# one before: on two cores --t-max 8 took 6.0 s (22 MB peak RSS) and
+# --t-min 9 --t-max 9 49-50 s (24 MB), so t = 10 alone runs about seven
+# minutes and t = 12 most of a day.
 MAX_ENUMERATION_T = 10
 
 
@@ -323,7 +338,11 @@ def enumerate_pretzels(
     the walk backs up one level and sets the entries from a[level - 1] on to
     a[level - 1] + 1.  Each multiset below the frontier is expanded into its
     distinct cyclic arrangements, since face sizes and twist counts depend
-    on the cyclic order.  The first arrangement is the sorted multiset
+    on the cyclic order.  They depend only on its multiplicity pattern, the
+    counts of its distinct values in ascending order, so each pattern's
+    arrangements are generated once as value indices (``_bracelet_shapes``,
+    which keeps the 16 most recent patterns) and mapped through the
+    multiset's sorted values.  The first arrangement is the sorted multiset
     itself: it alone goes through ``oracle_check`` when it is under the
     oracle cap, and it is the only arrangement of the one vacuous multiset,
     all ones.  An arrangement that the Stoimenow certificate for Montesinos
@@ -360,7 +379,10 @@ def enumerate_pretzels(
                     a[level:] = [a[level] + 1] * (n - level)
                 continue
             # below the frontier: check every arrangement, the first being tup
-            for arr in canonical_arrangements(tup):
+            vals = sorted(set(tup))
+            pattern = tuple(map(tup.count, vals))
+            for shape in _bracelet_shapes(pattern):
+                arr = tuple(map(vals.__getitem__, shape))
                 spec = Pretzel(arr)
                 cf = fam.closed_form(spec)
                 if cf.nonhyperbolic:  # all ones, the only arrangement

@@ -59,6 +59,7 @@ class TestCheck:
             code, _, err = run(capsys, "check", spec)
             assert code == 1
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert len(err) < 300
 
     @pytest.mark.parametrize("spec, message", [
         # faces past 2**53 sides, where the bipyramid volume loses n
@@ -67,7 +68,9 @@ class TestCheck:
         # weaving indices past MAX_WEAVING_INDEX; W(10^12)'s det is ~240 GB
         ("W(1000001)", "weaving index must be <= 1000000"),
         ("W(1000000000000)", "weaving index must be <= 1000000"),
-    ], ids=["P-400-digits", "R-10e308", "W-10e6+1", "W-10e12"])
+        # a valid entry over Python's limit on digits in int(str)
+        ("R(" + "9" * 5000 + ")", "entry of 5000 digits in spec 'R(999"),
+    ], ids=["P-400-digits", "R-10e308", "W-10e6+1", "W-10e12", "R-5000-digits"])
     def test_size_limits_exit_1(self, capsys, spec, message):
         code, out, err = run(capsys, "check", spec)
         assert code == 1

@@ -331,6 +331,16 @@ def test_canonical_arrangements_degenerate():
     assert list(canonical_arrangements((3,) * 6)) == [(3,) * 6]
 
 
+def test_bracelet_shapes_map_to_arrangements():
+    # a multiset's arrangements are its pattern's shapes through its sorted values
+    for n in range(1, 9):
+        for multiset in itertools.combinations_with_replacement(range(1, 5), n):
+            vals = sorted(set(multiset))
+            shapes = verify._bracelet_shapes(tuple(map(multiset.count, vals)))
+            mapped = [tuple(vals[i] for i in shape) for shape in shapes]
+            assert mapped == list(canonical_arrangements(multiset)), multiset
+
+
 class TestEnumerate:
     def test_violation_path(self, monkeypatch):
         # the first checked arrangement is reported inconclusive; the report
@@ -401,19 +411,21 @@ class TestEnumerate:
     def test_walk_matches_recursive_reference(self, monkeypatch):
         # the same frontier, and the same multisets expanded in the same order,
         # each checked with its own determinant
-        real_arrangements = verify.canonical_arrangements
+        real_closed_form = families.closed_form
         real_bound_report = verify.bound_report
         expanded, dets = [], {}
 
-        def arrangements_spy(multiset):
-            expanded.append(multiset)
-            return real_arrangements(multiset)
+        def closed_form_spy(spec):
+            # a multiset's first arrangement, and only that one, is sorted
+            if list(spec.a) == sorted(spec.a):
+                expanded.append(spec.a)
+            return real_closed_form(spec)
 
         def bound_report_spy(spec, d, cf):
             dets.setdefault(tuple(sorted(spec.a)), set()).add(d)
             return real_bound_report(spec, d, cf)
 
-        monkeypatch.setattr(verify, "canonical_arrangements", arrangements_spy)
+        monkeypatch.setattr(families, "closed_form", closed_form_spy)
         monkeypatch.setattr(verify, "bound_report", bound_report_spy)
         monkeypatch.setattr(verify, "adams_log_certificate", lambda d, faces: False)
         report = enumerate_pretzels(6)
