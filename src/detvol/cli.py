@@ -27,6 +27,11 @@ from .multigraph import spanning_tree_count
 # enumerate lists this many violations, then counts the rest
 MAX_VIOLATION_LINES = 50
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
+# pd reads at most this many bytes of a file, as UTF-8.  The largest PD that
+# pd accepts, 400 crossings (verify.MAX_ORACLE_CROSSINGS), is 7-9 KB in either
+# format with labels under 800 and tens of KB with long labels, so a longer
+# file is refused after this much is read, not held whole in memory.
+MAX_PD_FILE_BYTES = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,8 +186,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_pd(args) -> int:
-    with open(args.file) as f:
-        text = f.read()
+    with open(args.file, "rb") as f:
+        data = f.read(MAX_PD_FILE_BYTES + 1)
+    if len(data) > MAX_PD_FILE_BYTES:
+        raise ValueError(f"PD file is over the limit of {MAX_PD_FILE_BYTES} bytes")
+    text = data.decode()
     stripped = text.lstrip()
     if stripped.startswith("["):
         pd = dgm.parse_pd_json(text)

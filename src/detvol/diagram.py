@@ -28,6 +28,20 @@ from .hypvol import FaceVector
 from .multigraph import Multigraph
 
 
+def _quote(value) -> str:
+    """``value`` as an error message quotes it: its repr, clipped past 60 characters.
+
+    A string is clipped before its repr, so the quote stays a whole literal;
+    the length given is the string's, or that of any other value's repr.
+    """
+    if isinstance(value, str):
+        if len(value) <= 60:
+            return repr(value)
+        return f"{value[:60]!r}... ({len(value)} characters)"
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 class _Orbits(list):
     """Face orbits, with what their one traversal also found.
 
@@ -70,7 +84,7 @@ class PDCode:
         if -1 in partner:  # some label is not seen exactly twice
             labels = (a for t in crossings for a in t)
             bad = {a: k for a, k in Counter(labels).items() if k != 2}  # first-seen order
-            raise ValueError(f"arcs must appear exactly twice; offenders: {bad}")
+            raise ValueError(f"arcs must appear exactly twice; offenders: {_quote(bad)}")
         self.crossings = crossings
         self._partner = partner
         self._orbits: _Orbits | None = None
@@ -362,7 +376,7 @@ def parse_pd_text(text: str) -> PDCode:
             continue
         parts = ln.split()
         if parts[0].upper() != "X" or len(parts) != 5:
-            raise ValueError(f"bad PD line (expected 'X a b c d'): {ln!r}")
+            raise ValueError(f"bad PD line (expected 'X a b c d'): {_quote(ln)}")
         crossings.append(tuple(int(x) for x in parts[1:]))
     if not crossings:
         raise ValueError("no crossings in PD text")
@@ -385,6 +399,6 @@ def parse_pd_json(text: str) -> PDCode:
             and len(t) == 4
             and all(type(a) is int for a in t)  # bool and float rejected
         ):
-            raise ValueError(f"PD crossing must be an array of 4 integers: {t!r}")
+            raise ValueError(f"PD crossing must be an array of 4 integers: {_quote(t)}")
     return PDCode([tuple(t) for t in data])
 

@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import diagram as dgm
+from .diagram import _quote
 from .hypvol import TWO_PI, FaceVector, Real
 import math
 
@@ -394,13 +395,6 @@ def to_diagram(spec: FamilySpec) -> dgm.Diagram:
 # A greedy body with no \s* beside it (ints() strips each entry) matches a long
 # whitespace run in linear time; a lazy body between two \s* is cubic in it.
 _SPEC_RE = re.compile(r"\s*([RBPW])\s*\(([0-9,;\s]*)\)\s*")
-
-
-def _quote(text: str) -> str:
-    """The spec as an error message quotes it: past 60 characters, clipped, with its length."""
-    if len(text) <= 60:
-        return repr(text)
-    return f"{text[:60]!r}... ({len(text)} characters)"
 
 
 def parse_spec(text: str) -> FamilySpec:

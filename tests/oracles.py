@@ -14,8 +14,9 @@ against routines that share no code with it:
 ``detvol`` takes the 3-braid trace product as a balanced tree; the tests
 check it against ``threebraid_det_sequential``, the left-to-right fold.
 
-``detvol`` generates bracelets of fixed content directly; the tests check it
-against ``canonical_arrangements_by_permutation``, which walks every ordering.
+``detvol`` walks the distinct orderings of a multiset and keeps the least of
+each bracelet; the tests check it against ``canonical_arrangements_by_necklaces``,
+which generates the necklaces of fixed content directly by Sawada's algorithm.
 
 ``detvol`` walks the multisets below the pretzel frontier in one flat loop;
 the tests check it against ``pretzel_walk_by_recursion``, which recurses once
@@ -28,6 +29,7 @@ Edges are identified by their index in the edge list, which is what
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -289,31 +291,62 @@ def _weighted_tree_count(adj: dict[int, dict[int, Fraction]]) -> Fraction:
     return factor * (_weighted_tree_count(deleted) + w * _weighted_tree_count(contracted))
 
 
-def canonical_arrangements_by_permutation(multiset):
-    """Reference: least members of the dihedral classes, by walking orderings.
+def canonical_arrangements_by_necklaces(multiset):
+    """Reference: least members of the dihedral classes, from Sawada's necklaces.
 
-    The least member of a class starts with the least entry, so only the
-    orderings of the rest are walked (in lexicographic order, by the standard
-    next-permutation step), and an ordering is yielded when none of its 2n
-    rotations and reflections is smaller.
+    Each class is yielded once, as its lexicographically least member, in
+    increasing order.  Necklaces (least under rotation) of the fixed content
+    are generated directly, in lexicographic order, by Sawada's algorithm
+    (J. Sawada, Theor. Comput. Sci. 301 (2003)), run as an explicit
+    depth-first walk: a[0] is pinned to the least entry; a[t] runs upward
+    from a[t-p] over the content still unused, where p is the length of the
+    longest Lyndon prefix; a full word is a necklace when p divides n.  A
+    necklace is the least of its bracelet when no rotation of its reversal
+    is smaller, and only rotations that start at the least entry can be.
+    The state is O(n) and nothing recurses.
     """
-    a = sorted(multiset)
-    n = len(a)
-    while True:
-        arr = tuple(a)
-        if all(arr <= s[k:] + s[:k] for s in (arr, arr[::-1]) for k in range(n)):
-            yield arr
-        # next permutation of a[1:]: raise the last ascent, reverse the tail
-        i = n - 2
-        while i >= 1 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 1:
-            return
-        j = n - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = reversed(a[i + 1 :])
+    counts = Counter(multiset)
+    vals = sorted(counts)
+    remaining = [counts[v] for v in vals]  # unused copies of each value, by index
+    n = sum(remaining)
+    if n == 0:
+        yield ()
+        return
+    k = len(vals)
+    # the word, as value indices; a[t] is -1 until position t is tried, and
+    # goes back to -1 when it is exhausted, so each descent finds it fresh
+    a = [-1] * n
+    a[0] = 0
+    remaining[0] -= 1
+    p = [1] * (n + 1)  # p[t]: length of the longest Lyndon prefix of a[:t]
+    t = 1
+    while t >= 1:
+        if t == n:
+            if n % p[n] == 0:
+                r = a[::-1]
+                for i in range(n):
+                    if r[i] == 0 and r[i:] + r[:i] < a:
+                        break
+                else:
+                    yield tuple([vals[i] for i in a])
+            t -= 1
+            continue
+        j = a[t]
+        if j >= 0:  # give a[t] back and try the next larger value
+            remaining[j] += 1
+            j += 1
+        else:
+            j = a[t - p[t]]
+        while j < k and not remaining[j]:
+            j += 1
+        if j == k:  # position t is exhausted: back up
+            a[t] = -1
+            t -= 1
+            continue
+        a[t] = j
+        remaining[j] -= 1
+        p[t + 1] = p[t] if j == a[t - p[t]] else t + 1
+        t += 1
 
 
 def pretzel_walk_by_recursion(n):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from detvol.cli import _build_parser, main
 from detvol.families import weaving_det
 from detvol.verify import MAX_ORACLE_CROSSINGS
 from oracles import format_pd_text
+
+FIG8_PD = "X 0 1 4 3\nX 4 2 6 5\nX 3 5 8 0\nX 8 6 2 1\n"
 
 
 def _no_diagram(*args):
@@ -257,7 +260,7 @@ class TestSweep:
 class TestPd:
     def test_text_file(self, capsys, tmp_path):
         f = tmp_path / "fig8.pd"
-        f.write_text("X 0 1 4 3\nX 4 2 6 5\nX 3 5 8 0\nX 8 6 2 1\n")
+        f.write_text(FIG8_PD)
         code, out, _ = run(capsys, "pd", str(f))
         assert code == 0
         assert "tau(shaded)   5" in out
@@ -286,7 +289,7 @@ class TestPd:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "name, text",
+        "name, content",
         [
             ("bad.pd", "X 1 1 1 1\n"),
             ("flat.json", "[1, 2]"),
@@ -295,15 +298,35 @@ class TestPd:
             ("bool.json", "[[0, 0, 1, true]]"),
             ("short.json", "[[0, 0, 1]]"),
             ("deep.json", "[" * 200_000),
+            ("binary.pd", bytes(range(256)) * 4),
+            ("directory", Path(__file__).parent),
+            ("empty.pd", b""),
+            ("long-line.pd", "Y" * 200_000),
+            ("long-string.json", json.dumps([["a" * 200_000, 0, 1, 1]])),
+            ("open.pd", "".join(f"X {4 * i} {4 * i + 1} {4 * i + 2} {4 * i + 3}\n"
+                                for i in range(20_000))),
+            ("padded.pd", FIG8_PD + " " * (cli.MAX_PD_FILE_BYTES + 1 - len(FIG8_PD))),
+            pytest.param("zero", Path("/dev/zero"), marks=pytest.mark.skipif(
+                not os.path.exists("/dev/zero"), reason="no /dev/zero")),
         ],
-        ids=["text", "flat", "null", "float", "bool", "short", "deep"],
+        ids=["text", "flat", "null", "float", "bool", "short", "deep", "binary", "directory",
+             "empty", "long-line", "long-string", "open-labels", "over-limit", "dev-zero"],
     )
-    def test_malformed(self, capsys, tmp_path, name, text):
-        f = tmp_path / name
-        f.write_text(text)
-        code, _, err = run(capsys, "pd", str(f))
+    def test_malformed(self, capsys, tmp_path, name, content):
+        # content is text or bytes to write, or a path to read as it is
+        if isinstance(content, Path):
+            path = content
+        else:
+            path = tmp_path / name
+            if isinstance(content, str):
+                path.write_text(content)
+            else:
+                path.write_bytes(content)
+        code, _, err = run(capsys, "pd", str(path))
         assert code == 1
-        assert "error" in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+        assert len(err.encode()) < 300
+        assert "Traceback" not in err
 
 
 class TestConfigValidation:
@@ -357,7 +380,7 @@ class TestUsage:
 
     def test_option_of_another_subcommand_exits_1(self, capsys, tmp_path):
         f = tmp_path / "fig8.pd"
-        f.write_text("X 0 1 4 3\nX 4 2 6 5\nX 3 5 8 0\nX 8 6 2 1\n")
+        f.write_text(FIG8_PD)
         for argv in (
             ["enumerate", "--format", "json"],
             ["pd", str(f), "--format", "csv"],

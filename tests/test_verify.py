@@ -29,7 +29,7 @@ from detvol.verify import (
     sweep,
     sweep_specs,
 )
-from oracles import canonical_arrangements_by_permutation, pretzel_walk_by_recursion
+from oracles import canonical_arrangements_by_necklaces, pretzel_walk_by_recursion
 
 
 class TestCheck:
@@ -315,7 +315,7 @@ def test_canonical_arrangements_match_brute_force():
 def test_canonical_arrangements_match_reference():
     for n in range(10):
         for multiset in itertools.combinations_with_replacement(range(1, 5), n):
-            expected = list(canonical_arrangements_by_permutation(multiset))
+            expected = list(canonical_arrangements_by_necklaces(multiset))
             assert list(canonical_arrangements(multiset)) == expected, multiset
 
 
@@ -329,6 +329,14 @@ def test_canonical_arrangements_degenerate():
     assert list(canonical_arrangements(())) == [()]
     assert list(canonical_arrangements((7,))) == [(7,)]
     assert list(canonical_arrangements((3,) * 6)) == [(3,) * 6]
+
+
+def test_bracelet_shapes_cache_misses():
+    # the 1,976 multisets of enumerate_pretzels(6) have 57 multiplicity
+    # patterns; with 16 entries the cache generates arrangements 66 times
+    verify._bracelet_shapes.cache_clear()
+    enumerate_pretzels(6)
+    assert verify._bracelet_shapes.cache_info().misses == 66
 
 
 def test_bracelet_shapes_map_to_arrangements():
@@ -435,6 +443,7 @@ class TestEnumerate:
             frontier += f
             visited += v
         assert report.frontier == frontier
+        assert len(report.frontier) == report.certified_monotone
         assert expanded == [m for m, _ in visited]
         assert len(visited) == 1976
         want = dict(visited)
