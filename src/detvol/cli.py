@@ -199,7 +199,7 @@ def cmd_pd(args) -> int:
     verify.require_oracle_size(pd.crossing_count)
     diag = dgm.analyze(pd)
     print(f"crossings     {pd.crossing_count}")
-    print(f"faces         {diag.faces.counts}")
+    print(f"faces         {dict(diag.faces)}")
     print(f"twist regions {diag.twist_count}")
     print(f"tau(shaded)   {Decimal(spanning_tree_count(diag.shaded))}")
     print(f"tau(white)    {Decimal(spanning_tree_count(diag.white))}")

@@ -361,7 +361,7 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
     else:
         raise TypeError(f"not a family spec: {spec!r}")
     fv = FaceVector(faces)
-    return ClosedForm(fv, t, reason, fv.total_sides // 4)  # every crossing has four corners
+    return ClosedForm(fv, t, reason, sum(n * b for n, b in fv) // 4)  # 4 corners a crossing
 
 
 def to_diagram(spec: FamilySpec) -> dgm.Diagram:

@@ -110,59 +110,38 @@ def bipyramid_volume(n: int) -> Real:
     return Real(v, 1e-12 + n * _BIPYRAMID_ERR_PER_SIDE)
 
 
-class FaceVector:
-    """Multiset of diagram face sizes: size -> multiplicity.
+class FaceVector(tuple):
+    """Multiset of diagram face sizes: ascending ``(size, count)`` pairs,
+    every count positive, built from a size -> count mapping.
 
     A reduced alternating diagram has all faces of size >= 2; size-1 faces
     can appear for non-reduced inputs (a kinked unknot diagram) and are
     representable here, but the volume bounds below reject them.
 
-    A face vector is not mutated after it is built, so it hashes by its
-    ascending ``(size, count)`` items and the bounds below can memoize on it.
+    As a tuple it is immutable and compares and hashes by its pairs, so the
+    bounds below can memoize on it; ``dict(fv)`` gives the counts back.
     """
 
-    __slots__ = ("counts",)
+    __slots__ = ()
 
-    def __init__(self, counts: dict[int, int]):
-        self.counts = {}
-        for size, mult in sorted(counts.items()):
-            size = int(size)
-            mult = int(mult)
-            if size < 1:
-                raise ValueError(f"face size {size} < 1")
-            if mult < 0:
-                raise ValueError("negative multiplicity")
-            if mult:
-                self.counts[size] = mult
+    def __new__(cls, counts: dict[int, int]):
+        pairs = sorted(counts.items())
+        if pairs and pairs[0][0] < 1:  # the smallest size comes first
+            raise ValueError(f"face size {pairs[0][0]} < 1")
+        if any(mult < 0 for _, mult in pairs):
+            raise ValueError("negative multiplicity")
+        return super().__new__(cls, [p for p in pairs if p[1]])
 
-    @property
-    def total_faces(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def total_sides(self) -> int:
-        return sum(n * b for n, b in self.counts.items())
+    def __getnewargs__(self):
+        return (dict(self),)
 
     def two_largest(self) -> tuple[int, int]:
         """The two largest faces, which the Adams bounds remove; raises for a monogon."""
-        if self.total_faces < 2 or 1 in self.counts:
+        if sum(b for _, b in self) < 2 or self[0][0] == 1:
             raise ValueError("need two faces and no monogon, as in a reduced diagram")
-        # ``__init__`` inserts the sizes in ascending order
-        sizes = reversed(self.counts)
-        r = next(sizes)
-        s = r if self.counts[r] >= 2 else next(sizes)
+        r, b = self[-1]
+        s = r if b >= 2 else self[-2][0]
         return r, s
-
-    def __eq__(self, other):
-        if isinstance(other, dict):
-            return self.counts == {k: v for k, v in other.items() if v}
-        return isinstance(other, FaceVector) and self.counts == other.counts
-
-    def __hash__(self):
-        return hash(tuple(self.counts.items()))
-
-    def __repr__(self):
-        return f"FaceVector({self.counts})"
 
 
 @lru_cache(maxsize=4096)
@@ -175,7 +154,7 @@ def adams_bound_exact(faces: FaceVector) -> Real:
     a rejected face vector raises on every call.
     """
     r, s = faces.two_largest()
-    vols = [(b, bipyramid_volume(n)) for n, b in faces.counts.items()]
+    vols = [(b, bipyramid_volume(n)) for n, b in faces]
     vol_r, vol_s = bipyramid_volume(r), bipyramid_volume(s)
     total = math.fsum(b * vol.value for b, vol in vols)
     v = total - vol_r.value - vol_s.value
@@ -194,7 +173,7 @@ def adams_bound_log(faces: FaceVector) -> Real:
     every call.
     """
     r, s = faces.two_largest()
-    terms = [(b - (n == r) - (n == s)) * math.log(n / 2) for n, b in faces.counts.items()]
+    terms = [(b - (n == r) - (n == s)) * math.log(n / 2) for n, b in faces]
     total = math.fsum(terms)
     return Real(TWO_PI * total, TWO_PI * (len(terms) + 5) * math.ulp(total))
 

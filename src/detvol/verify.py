@@ -47,7 +47,8 @@ from .hypvol import (
 from .multigraph import spanning_tree_count
 
 DEFAULT_ORACLE_CAP = 40
-# A diagram above this limit is refused, whatever the oracle cap.  On two
+# A diagram above this limit is refused, and so is an oracle cap above it,
+# which could only fail at the first member past the limit.  On two
 # cores a 400-crossing R, B, P or W oracle check (diagram and both tree
 # counts) takes 0.001-0.005 s, since their Tait graphs leave the sparse
 # elimination almost no fill.  A Tait graph that fills in costs more: the
@@ -83,6 +84,10 @@ def require_oracle_size(c: int) -> None:
 def _require_oracle_cap(oracle_cap: int) -> None:
     if oracle_cap < 0:
         raise ValueError("oracle_cap must be >= 0")
+    if oracle_cap > MAX_ORACLE_CROSSINGS:
+        raise ValueError(
+            f"oracle_cap must be <= {MAX_ORACLE_CROSSINGS}, the diagram oracle's limit"
+        )
 
 
 def check(spec: FamilySpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> BoundReport:
@@ -93,8 +98,8 @@ def check(spec: FamilySpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> BoundReport
     products, B's trace tree and W's Lucas doubling take O(M(n) log n) bit
     work, and ``pretzel_det`` multiplies big prefixes by big suffixes, at
     least quadratic in the number of entries.  With at most ``oracle_cap``
-    crossings (``oracle_cap >= 0``) it also goes through ``oracle_check``,
-    unless the member is known non-hyperbolic.
+    crossings (``0 <= oracle_cap <= MAX_ORACLE_CROSSINGS``) it also goes
+    through ``oracle_check``, unless the member is known non-hyperbolic.
     """
     _require_oracle_cap(oracle_cap)
     d, cf = fam.det(spec), fam.closed_form(spec)
@@ -118,8 +123,8 @@ def oracle_check(spec: FamilySpec, d: int, cf: fam.ClosedForm) -> None:
         )
     if diag.faces != cf.faces or diag.twist_count != cf.twist_count:
         raise RuntimeError(
-            f"face data mismatch for {spec}: closed form {cf.faces}, t={cf.twist_count}; "
-            f"diagram {diag.faces}, t={diag.twist_count}"
+            f"face data mismatch for {spec}: closed form {dict(cf.faces)}, t={cf.twist_count}; "
+            f"diagram {dict(diag.faces)}, t={diag.twist_count}"
         )
 
 
@@ -202,7 +207,7 @@ def adams_log_certificate(d: int, faces: FaceVector) -> bool:
     """
     r, s = faces.two_largest()
     m, prod = 0, 1
-    for n, b in faces.counts.items():
+    for n, b in faces:
         if n > 2:
             b -= (n == r) + (n == s)
             m += b

@@ -85,11 +85,15 @@ class TestCheck:
         c = MAX_ORACLE_CROSSINGS + 1
         spec = f"R({c // 2},{c - c // 2})"
         monkeypatch.setattr(families, "to_diagram", _no_diagram)
+        # a cap over the limit is refused before any member is checked
         code, out, err = run(capsys, "check", spec, "--oracle-cap", "100000")
         assert code == 1
         assert out == ""
-        assert err.startswith(f"error: {c} crossings is over the diagram oracle's limit")
-        assert run(capsys, "check", spec)[0] == 0  # under the default cap, no oracle
+        assert err == (f"error: oracle_cap must be <= {MAX_ORACLE_CROSSINGS}, "
+                       "the diagram oracle's limit\n")
+        # at the largest cap and the default one the member is above the cap: no oracle
+        assert run(capsys, "check", spec, "--oracle-cap", str(MAX_ORACLE_CROSSINGS))[0] == 0
+        assert run(capsys, "check", spec)[0] == 0
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "check", "W(4)", "--format", "json")
@@ -335,9 +339,28 @@ class TestConfigValidation:
         assert code == 1
         assert err.startswith("usage: detvol constants")
 
-    def test_bad_workers(self, capsys):
-        code, _, err = run(capsys, "sweep", "--family", "R", "--sum-max", "3", "--workers", "0")
-        assert code == 1
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "R", "--sum-max", "21"],
+        ["sweep", "--family", "W", "--sum-max", "270003"],
+        ["sweep", "--family", "R", "--sum-max", "0"],
+        ["sweep", "--family", "R", "--sum-max", "-4"],
+        ["sweep", "--family", "R", "--sum-max", "3", "--workers", "0"],
+        ["enumerate", "--t-min", "2"],
+        ["enumerate", "--t-min", "7", "--t-max", "6"],
+        ["check", "R(1 2)"],
+        ["check", "R(3,3)", "--oracle-cap", str(MAX_ORACLE_CROSSINGS + 1)],
+        ["enumerate", "--oracle-cap", str(MAX_ORACLE_CROSSINGS + 1)],
+        ["sweep", "--family", "R", "--sum-max", "3",
+         "--oracle-cap", str(MAX_ORACLE_CROSSINGS + 1)],
+    ], ids=["R-sum-max-21", "W-sum-max-270003", "sum-max-0", "sum-max-negative", "workers-0",
+            "t-min-2", "t-min-over-t-max", "bad-integer", "check-cap-401", "enumerate-cap-401",
+            "sweep-cap-401"])
+    def test_option_bounds_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert len(err.encode()) < 300
+        assert "Traceback" not in err
 
     def test_negative_oracle_cap(self, capsys):
         for argv in (["check", "R(3,3)"], ["enumerate"], ["sweep", "--family", "R", "--sum-max", "3"]):

@@ -18,6 +18,7 @@ from detvol.diagram import (
     twist_regions,
 )
 from detvol.families import ThreeBraid, TwoBridge, Weaving4, to_diagram
+from detvol.hypvol import FaceVector
 from detvol.multigraph import spanning_tree_count
 from detvol.verify import sweep_specs
 from oracles import degree, format_pd_text
@@ -119,24 +120,24 @@ class TestDarts:
 
 class TestFaces:
     def test_trefoil(self):
-        assert faces(PDCode(TREFOIL_PD)) == {2: 3, 3: 2}
+        assert faces(PDCode(TREFOIL_PD)) == FaceVector({2: 3, 3: 2})
 
     def test_figure_eight(self):
-        assert faces(PDCode(FIG8_PD)) == {2: 2, 3: 4}
+        assert faces(PDCode(FIG8_PD)) == FaceVector({2: 2, 3: 4})
 
     def test_euler_relations(self):
         for pd_code in (TREFOIL_PD, FIG8_PD):
             pd = PDCode(pd_code)
             fv = faces(pd)
             c = pd.crossing_count
-            assert fv.total_faces == c + 2
-            assert fv.total_sides == 4 * c
+            assert sum(b for _, b in fv) == c + 2
+            assert sum(n * b for n, b in fv) == 4 * c
 
     def test_weaving_face_vector(self):
         # 2n triangles, n squares, and the two axis faces of size n
         for n in (5, 6, 7):
             pd = braid_closure_pd(4, [1, 3, 2] * n)
-            assert faces(pd) == {3: 2 * n, 4: n, n: 2}
+            assert faces(pd) == FaceVector({3: 2 * n, 4: n, n: 2})
 
 
 class TestCheckerboard:
@@ -231,7 +232,7 @@ class TestBuilders:
     def test_braid_crossing_count(self):
         pd = braid_closure_pd(2, [1, 1, 1])
         assert pd.crossing_count == 3
-        assert faces(pd) == {2: 3, 3: 2}
+        assert faces(pd) == FaceVector({2: 3, 3: 2})
 
     def test_plat(self):
         pd = plat_closure_pd([2, 1, 2, 1], [(2, 3), (1, 4)])
@@ -281,13 +282,13 @@ class TestPDFormats:
     def test_json(self):
         text = json.dumps([list(t) for t in FIG8_PD])
         pd = parse_pd_json(text)
-        assert faces(pd) == {2: 2, 3: 4}
+        assert faces(pd) == FaceVector({2: 2, 3: 4})
 
     def test_analyze(self):
         diag = analyze(PDCode(FIG8_PD))
         assert diag.pd.crossing_count == 4
         assert diag.twist_count == 2
-        assert diag.faces == {2: 2, 3: 4}
+        assert diag.faces == FaceVector({2: 2, 3: 4})
 
 
 def _reference_analysis(crossings):
@@ -367,7 +368,7 @@ def test_analyze_matches_reference(specs):
     for spec in specs():
         diag = to_diagram(spec)
         sizes, twist, shaded, white = _reference_analysis(diag.pd.crossings)
-        assert diag.faces == sizes, spec
+        assert diag.faces == FaceVector(sizes), spec
         assert diag.twist_count == twist, spec
         assert (diag.shaded.vertex_count, diag.shaded.edges) == shaded, spec
         assert (diag.white.vertex_count, diag.white.edges) == white, spec
@@ -405,6 +406,6 @@ def test_builders_match_label_pairing(specs):
 def test_analyze_figure_eight_matches_reference():
     diag = analyze(PDCode(FIG8_PD))
     sizes, twist, shaded, white = _reference_analysis(FIG8_PD)
-    assert (diag.faces, diag.twist_count) == (sizes, twist)
+    assert (diag.faces, diag.twist_count) == (FaceVector(sizes), twist)
     assert (diag.shaded.vertex_count, diag.shaded.edges) == shaded
     assert (diag.white.vertex_count, diag.white.edges) == white

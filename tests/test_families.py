@@ -26,7 +26,7 @@ from detvol.families import (
     v_function,
     weaving_det,
 )
-from detvol.hypvol import TWO_PI
+from detvol.hypvol import TWO_PI, FaceVector
 from detvol.multigraph import spanning_tree_count
 from oracles import (
     compositions_upto,
@@ -349,8 +349,8 @@ class TestDiagrams:
             expect = fam.det(spec)
             assert spanning_tree_count(d.shaded) == expect, spec
             assert spanning_tree_count(d.white) == expect, spec
-            assert d.faces.total_faces == d.pd.crossing_count + 2
-            assert d.faces.total_sides == 4 * d.pd.crossing_count
+            assert sum(b for _, b in d.faces) == d.pd.crossing_count + 2
+            assert sum(n * b for n, b in d.faces) == 4 * d.pd.crossing_count
 
     def test_closed_form_face_data_matches_diagram(self):
         specs = (
@@ -392,7 +392,7 @@ class TestDiagrams:
         for spec, c in specs:
             cf = closed_form(spec)
             assert cf.crossing_count == c, spec
-            assert cf.faces.total_faces == c + 2, spec
+            assert sum(b for _, b in cf.faces) == c + 2, spec
             assert parse_spec(str(spec)) == spec
 
     def test_closed_form_twist_merges(self):
@@ -425,7 +425,7 @@ class TestDiagrams:
     def test_weaving_face_vectors(self):
         for n in (5, 8):
             d = to_diagram(Weaving4(n))
-            assert d.faces == {3: 2 * n, 4: n, n: 2}
+            assert d.faces == FaceVector({3: 2 * n, 4: n, n: 2})
 
     def test_diagram_bound_below_v_and_end_corrected(self):
         from detvol.hypvol import adams_bound_log

@@ -1,7 +1,9 @@
 """Lobachevsky function, bipyramid volumes, and the volume bounds."""
 
+import copy
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -195,8 +197,37 @@ class TestConstants:
 class TestFaceVector:
     def test_totals(self):
         fv = FaceVector({2: 2, 3: 4})
-        assert fv.total_faces == 6
-        assert fv.total_sides == 16
+        assert sum(b for _, b in fv) == 6
+        assert sum(n * b for n, b in fv) == 16
+
+    def test_sorted_pairs_of_positive_counts(self):
+        fv = FaceVector({5: 1, 2: 3, 4: 0, 3: 2})
+        assert isinstance(fv, tuple)
+        assert tuple(fv) == ((2, 3), (3, 2), (5, 1))
+        assert dict(fv) == {2: 3, 3: 2, 5: 1}
+
+    def test_immutable(self):
+        fv = FaceVector({2: 2, 3: 4})
+        with pytest.raises(TypeError):
+            fv[0] = (2, 3)
+        with pytest.raises(AttributeError):
+            fv.counts = {2: 3}
+
+    def test_equal_vector_from_another_order_is_a_memo_hit(self):
+        first = FaceVector({2: 6, 3: 2, 4: 1, 9: 2})
+        adams_bound_exact(first)
+        hits = adams_bound_exact.cache_info().hits
+        again = FaceVector({9: 2, 4: 1, 3: 2, 2: 6})  # built separately
+        assert again == first and hash(again) == hash(first)
+        adams_bound_exact(again)
+        assert adams_bound_exact.cache_info().hits == hits + 1
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        fv = FaceVector({2: 2, 3: 4, 7: 1})
+        for back in (pickle.loads(pickle.dumps(fv)), copy.deepcopy(fv), copy.copy(fv)):
+            assert type(back) is FaceVector and back == fv
+        cf = closed_form(parse_spec("P(2,3,7)"))
+        assert pickle.loads(pickle.dumps(cf)) == cf
 
     def test_two_largest(self):
         assert FaceVector({2: 2, 3: 4}).two_largest() == (3, 3)
@@ -226,8 +257,10 @@ class TestFaceVector:
             FaceVector({}).two_largest()
 
     def test_rejects_bad(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="face size 0 < 1"):
             FaceVector({0: 1})
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            FaceVector({3: -1})
         with pytest.raises(ValueError):
             FaceVector({4: 1}).two_largest()
 
@@ -257,7 +290,7 @@ class TestAdamsBounds:
         # 300000 vol(B_4)
         fv = closed_form(Weaving4(300000)).faces
         bound = adams_bound_exact(fv)
-        assert bound.abs_err >= (fv.total_faces + 2) * 1e-12
+        assert bound.abs_err >= (sum(b for _, b in fv) + 2) * 1e-12
 
         def vol(n):
             return n * (mp.clsin(2, 4 * mp.pi / n) / 2 + mp.clsin(2, mp.pi * (n - 2) / n))
@@ -281,13 +314,14 @@ class TestAdamsBounds:
         # huge bigon counts and huge largest faces, where a sum over all
         # faces minus m*log(2) cancelled to an error near 1
         fv = FaceVector(faces) if isinstance(faces, dict) else closed_form(parse_spec(faces)).faces
-        sizes = sorted(fv.counts, reverse=True)
+        counts = dict(fv)
+        sizes = sorted(counts, reverse=True)
         r = sizes[0]
-        s = r if fv.counts[r] > 1 else sizes[1]
+        s = r if counts[r] > 1 else sizes[1]
         bound = adams_bound_log(fv)
         with mp.workdps(50):
             exact = 2 * mp.pi * (
-                mp.fsum(b * mp.log(mp.mpf(n) / 2) for n, b in fv.counts.items())
+                mp.fsum(b * mp.log(mp.mpf(n) / 2) for n, b in counts.items())
                 - mp.log(mp.mpf(r) / 2) - mp.log(mp.mpf(s) / 2)
             )
             assert abs(mp.mpf(bound.value) - exact) <= bound.abs_err

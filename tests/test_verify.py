@@ -19,6 +19,7 @@ from detvol.families import Pretzel, ThreeBraid, TwoBridge, Weaving4, pretzel_de
 from detvol.hypvol import GAMMA, TWO_PI, V4, XI, ZETA, FaceVector, Real, adams_bound_log
 from detvol.verify import (
     CSV_COLUMNS,
+    MAX_ORACLE_CROSSINGS,
     canonical_arrangements,
     check,
     enumerate_pretzels,
@@ -99,7 +100,7 @@ class TestCheck:
 
         def extra_face(s):
             cf = real(s)
-            return cf._replace(faces=FaceVector({**cf.faces.counts, 50: 1}))
+            return cf._replace(faces=FaceVector({**dict(cf.faces), 50: 1}))
 
         monkeypatch.setattr(families, "closed_form", extra_face)
         with pytest.raises(RuntimeError, match="face data mismatch"):
@@ -595,10 +596,14 @@ class TestSweep:
     lambda cap: enumerate_pretzels(3, oracle_cap=cap),
 ], ids=["check", "sweep", "enumerate_pretzels"])
 def test_negative_oracle_cap(run):
-    # a negative cap used to run with no oracle at all
+    # a negative cap used to run with no oracle at all, and a cap over the
+    # oracle's limit failed only at the first member past the limit
     with pytest.raises(ValueError, match="oracle_cap must be >= 0"):
         run(-1)
+    with pytest.raises(ValueError, match=f"oracle_cap must be <= {MAX_ORACLE_CROSSINGS}"):
+        run(MAX_ORACLE_CROSSINGS + 1)
     run(0)
+    run(MAX_ORACLE_CROSSINGS)
 
 
 class TestSerialization:
