@@ -42,16 +42,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def _build_parser() -> _Parser:
     p = _Parser(
         prog="detvol",
@@ -62,7 +52,7 @@ def _build_parser() -> _Parser:
     fmt = dict(default="table", choices=("table", "csv", "json"))
     precision = dict(type=int, default=12, choices=range(6, 16), metavar="DIGITS",
                      help="digits shown in table output (6..15, default 12)")
-    oracle_cap = dict(type=_nonnegative_int, default=verify.DEFAULT_ORACLE_CAP,
+    oracle_cap = dict(type=int, default=verify.DEFAULT_ORACLE_CAP,
                       help="max crossings for the matrix-tree determinant cross-check")
 
     c = sub.add_parser("check", help="check one family member")

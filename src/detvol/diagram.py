@@ -13,10 +13,11 @@ trees, and for an alternating link that number is the link determinant.
 
 Builders are provided for braid closures, 4-plat closures, and pretzel
 diagrams (the medial of a necklace: a cycle of parallel-edge bundles, which
-is the pretzel's checkerboard graph).  ``_walk`` pairs the darts it walks;
-every other dart (closure ends, medial corners, user input) is paired by
-label in ``_pair``.  A code is checked and traversed once when built; the
-traversal also numbers Tait vertices, counts face sizes and collects bigons.
+is the pretzel's checkerboard graph).  ``_walk`` pairs the darts it walks
+and ``_pair`` the rest (closure ends, medial corners) by label; builders pass
+that pairing to ``PDCode``, which pairs a user's code by label itself.  A
+code is checked and traversed once when built; the traversal also numbers
+Tait vertices, counts face sizes and collects bigons.
 """
 
 from __future__ import annotations
@@ -56,29 +57,22 @@ class _Orbits(list):
 class PDCode:
     """A 4-valent plane map: ccw 4-tuples of arcs, paired, colored and traversed when built.
 
-    ``PDCode(crossings)`` pairs all darts by label; builders hand
-    ``PDCode._paired`` the pairing that ``_walk`` and ``_pair`` made.
+    ``PDCode(crossings)`` pairs all darts by label, as a user's code needs.
+    A builder passes ``partner``, the pairing that ``_walk`` and ``_pair``
+    made (-1 at an unpaired dart), with crossings already 4-tuples of ints.
+    Both ways run the same checks.
     """
 
     __slots__ = ("crossings", "_partner", "_flip", "_orbits")
 
-    def __init__(self, crossings):
-        crossings = [tuple(map(int, t)) for t in crossings]
-        for t in crossings:
-            if len(t) != 4:
-                raise ValueError(f"crossing {t} does not have 4 slots")
-        partner = [-1] * (4 * len(crossings))
-        _pair(crossings, partner, range(len(partner)))
-        self._init(crossings, partner)
-
-    @classmethod
-    def _paired(cls, crossings: list[tuple[int, int, int, int]], partner: list[int]) -> PDCode:
-        """The code of ``crossings`` with its darts paired by ``partner`` (-1: unpaired)."""
-        pd = cls.__new__(cls)
-        pd._init(crossings, partner)
-        return pd
-
-    def _init(self, crossings, partner) -> None:
+    def __init__(self, crossings, partner: list[int] | None = None):
+        if partner is None:
+            crossings = [tuple(map(int, t)) for t in crossings]
+            for t in crossings:
+                if len(t) != 4:
+                    raise ValueError(f"crossing {t} does not have 4 slots")
+            partner = [-1] * (4 * len(crossings))
+            _pair(crossings, partner, range(len(partner)))
         if not crossings:
             raise ValueError("PD code needs at least one crossing")
         if -1 in partner:  # some label is not seen exactly twice
@@ -306,7 +300,7 @@ def _closed(crossings, partner, loose, joins) -> PDCode:
         if r != t[s]:
             crossings[ci] = t[:s] + (r,) + t[s + 1 :]
     _pair(crossings, partner, loose)
-    return PDCode._paired(crossings, partner)
+    return PDCode(crossings, partner)
 
 
 def braid_closure_pd(strands: int, word: list[int]) -> PDCode:
@@ -360,7 +354,7 @@ def medial_pd(bundles: list[int]) -> PDCode:
         base += k
     partner = [-1] * (4 * len(crossings))
     _pair(crossings, partner, range(len(partner)))
-    return PDCode._paired(crossings, partner)
+    return PDCode(crossings, partner)
 
 
 # ---------------------------------------------------------------------------

@@ -65,13 +65,13 @@ class TestPDValidation:
         assert pd.crossing_count == 3
 
     def test_builder_pairings(self):
-        # builders hand their dart pairing to PDCode._paired; it makes the same checks
+        # builders pass their dart pairing to the constructor; it makes the same checks
         with pytest.raises(ValueError, match=r"exactly twice; offenders: \{1: 1, 2: 1\}$"):
-            PDCode._paired([(0, 0, 1, 2)], [1, 0, -1, -1])
+            PDCode([(0, 0, 1, 2)], [1, 0, -1, -1])
         with pytest.raises(ValueError, match="not connected"):
-            PDCode._paired([(0, 0, 1, 1), (2, 2, 3, 3)], [1, 0, 3, 2, 5, 4, 7, 6])
+            PDCode([(0, 0, 1, 1), (2, 2, 3, 3)], [1, 0, 3, 2, 5, 4, 7, 6])
         with pytest.raises(ValueError, match="does not close up to a sphere map"):
-            PDCode._paired([(0, 1, 0, 1)], [2, 3, 0, 1])
+            PDCode([(0, 1, 0, 1)], [2, 3, 0, 1])
 
 
 class TestDarts:
