@@ -57,24 +57,30 @@ class _Orbits(list):
 class PDCode:
     """A 4-valent plane map: ccw 4-tuples of arcs, paired, colored and traversed when built.
 
-    ``PDCode(crossings)`` pairs all darts by label, as a user's code needs.
-    A builder passes ``partner``, the pairing that ``_walk`` and ``_pair``
-    made (-1 at an unpaired dart), with crossings already 4-tuples of ints.
-    Both ways run the same checks.
+    ``PDCode(crossings)`` takes 4 int labels per crossing and pairs all darts
+    by label, as a user's code needs.  A builder passes ``partner``, the
+    pairing that ``_walk`` and ``_pair`` made (-1 at an unpaired dart), with
+    crossings already 4-tuples of ints.  Both ways run the same checks: the
+    pairing pairs every one of the 4n darts with another dart that pairs back,
+    and the map is connected and a sphere.
     """
 
     __slots__ = ("crossings", "_partner", "_flip", "_orbits")
 
     def __init__(self, crossings, partner: list[int] | None = None):
         if partner is None:
-            crossings = [tuple(map(int, t)) for t in crossings]
+            crossings = [tuple(t) for t in crossings]
             for t in crossings:
                 if len(t) != 4:
-                    raise ValueError(f"crossing {t} does not have 4 slots")
+                    raise ValueError(f"crossing {_quote(t)} does not have 4 slots")
+                if not all(type(a) is int for a in t):  # a bool is not a label either
+                    raise ValueError(f"crossing {_quote(t)} has a label that is not an int")
             partner = [-1] * (4 * len(crossings))
             _pair(crossings, partner, range(len(partner)))
         if not crossings:
             raise ValueError("PD code needs at least one crossing")
+        if len(partner) != 4 * len(crossings):
+            raise ValueError(f"partner has {len(partner)} entries for {4 * len(crossings)} darts")
         if -1 in partner:  # some label is not seen exactly twice
             labels = (a for t in crossings for a in t)
             bad = {a: k for a, k in Counter(labels).items() if k != 2}  # first-seen order
@@ -87,11 +93,14 @@ class PDCode:
     def _validate(self) -> None:
         partner = self.partner()
         n = len(self.crossings)
+        m = 4 * n
         # The face leaving dart d gets color (d + flip[d // 4]) % 2, so corner
         # colors alternate around every crossing.  The face leaving d also leaves
         # the dart after its partner p, which fixes flip[p // 4]; flip[0] = 1
         # makes the face of dart 1 white (0).  The search reaches every crossing
         # exactly when the map is connected; on a sphere map it never disagrees.
+        # Each dart the search reads is checked to be paired with another dart
+        # that pairs back, which covers every dart once the map is connected.
         flip = [-1] * n
         flip[0] = 1
         stack = [0]
@@ -99,6 +108,9 @@ class PDCode:
             ci = stack.pop()
             for d in range(4 * ci, 4 * ci + 4):
                 p = partner[d]
+                if not 0 <= p < m or p == d or partner[p] != d:
+                    raise ValueError(f"partner pairs dart {d} with {_quote(p)}, "
+                                     "not with another dart that pairs back")
                 cj = p // 4
                 if flip[cj] == -1:
                     flip[cj] = (flip[ci] + d - p - 1) % 2

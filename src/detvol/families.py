@@ -52,11 +52,7 @@ class ThreeBraid:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("ThreeBraid needs at least one pair")
-        for (x, y) in self.pairs:
-            if x < 1 or y < 1:
-                raise ValueError("all twist counts must be >= 1")
+        _check_pairs(self.pairs)
 
     def __str__(self):
         return "B(" + ",".join(f"{x},{y}" for x, y in self.pairs) + ")"
@@ -78,8 +74,7 @@ class Weaving4:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("weaving index must be >= 1")
+        _check_entries((self.n,))
 
     def __str__(self):
         return f"W({self.n})"
@@ -89,11 +84,18 @@ FamilySpec = TwoBridge | ThreeBraid | Pretzel | Weaving4
 
 
 def _check_entries(a):
+    """The one rule for a family's integers: a nonempty list of ints >= 1, no bools."""
     if not a:
         raise ValueError("sequence must be nonempty")
     for x in a:
-        if x < 1:
-            raise ValueError("all entries must be >= 1")
+        if type(x) is not int or x < 1:
+            raise ValueError(f"entry {_quote(x)} is not an integer >= 1")
+
+
+def _check_pairs(pairs):
+    if not set(map(len, pairs)) <= {2}:
+        raise ValueError("every 3-braid pair must have exactly two entries")
+    _check_entries([x for pair in pairs for x in pair])
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +158,9 @@ def threebraid_det(pairs) -> int:
                              + det B(a1+an, b1,...,a_{n-1},b_{n-1}),
     det B(a,b) = a*b, which the test suite checks on every spec of sum <= 12.
     """
-    level = []
-    for (x, y) in pairs:
-        x, y = int(x), int(y)
-        if x < 1 or y < 1:
-            raise ValueError("all twist counts must be >= 1")
-        # [[1,x],[0,1]] [[1,0],[y,1]] = [[1+xy, x],[y, 1]], row-major
-        level.append((1 + x * y, x, y, 1))
-    if not level:
-        raise ValueError("need at least one pair")
+    _check_pairs(pairs)
+    # [[1,x],[0,1]] [[1,0],[y,1]] = [[1+xy, x],[y, 1]], row-major
+    level = [(1 + x * y, x, y, 1) for x, y in pairs]
     while len(level) > 1:
         up = [
             (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
@@ -225,8 +221,7 @@ def weaving_det(n: int) -> int:
     braid-built diagrams and both are wrong (see README), so this is the
     oracle-backed form.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_entries((n,))
     if n > MAX_WEAVING_INDEX:
         raise ValueError(
             f"weaving index must be <= {MAX_WEAVING_INDEX} "

@@ -310,11 +310,14 @@ class TestPd:
             ("open.pd", "".join(f"X {4 * i} {4 * i + 1} {4 * i + 2} {4 * i + 3}\n"
                                 for i in range(20_000))),
             ("padded.pd", FIG8_PD + " " * (cli.MAX_PD_FILE_BYTES + 1 - len(FIG8_PD))),
+            ("torus.pd", "X 0 1 0 1\n"),
+            ("two-kinks.pd", "X 0 0 1 1\nX 2 2 3 3\n"),
             pytest.param("zero", Path("/dev/zero"), marks=pytest.mark.skipif(
                 not os.path.exists("/dev/zero"), reason="no /dev/zero")),
         ],
         ids=["text", "flat", "null", "float", "bool", "short", "deep", "binary", "directory",
-             "empty", "long-line", "long-string", "open-labels", "over-limit", "dev-zero"],
+             "empty", "long-line", "long-string", "open-labels", "over-limit", "not-sphere",
+             "disconnected", "dev-zero"],
     )
     def test_malformed(self, capsys, tmp_path, name, content):
         # content is text or bytes to write, or a path to read as it is

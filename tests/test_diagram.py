@@ -60,6 +60,13 @@ class TestPDValidation:
         with pytest.raises(ValueError, match="at least one crossing"):
             PDCode([])
 
+    def test_non_int_label(self):
+        # labels are taken as given: 1.5 is not truncated to 1, True is not 1
+        with pytest.raises(ValueError, match=r"crossing \(0, 0, 1\.5, 1\.5\) has a label"):
+            PDCode([(0, 0, 1.5, 1.5)])
+        with pytest.raises(ValueError, match="not an int"):
+            PDCode([(0, 0, True, True)])
+
     def test_valid(self):
         pd = PDCode(TREFOIL_PD)
         assert pd.crossing_count == 3
@@ -72,6 +79,13 @@ class TestPDValidation:
             PDCode([(0, 0, 1, 1), (2, 2, 3, 3)], [1, 0, 3, 2, 5, 4, 7, 6])
         with pytest.raises(ValueError, match="does not close up to a sphere map"):
             PDCode([(0, 1, 0, 1)], [2, 3, 0, 1])
+        # a pairing that is not an involution of the 4n darts without fixed points
+        with pytest.raises(ValueError, match="partner pairs dart 0 with 9,"):
+            PDCode([(0, 0, 1, 1)], [9, 0, 0, 0])
+        with pytest.raises(ValueError, match="partner has 2 entries for 4 darts"):
+            PDCode([(0, 0, 1, 1)], [1, 0])
+        with pytest.raises(ValueError, match="partner pairs dart 0 with 1,"):
+            PDCode([(0, 0, 1, 1)], [1, 1, 3, 2])
 
 
 class TestDarts:

@@ -546,3 +546,26 @@ class TestSpecSyntax:
             ThreeBraid(())
         with pytest.raises(ValueError):
             Weaving4(0)
+
+
+# Every family entry passes one rule: an int, not a bool, at least 1.
+@pytest.mark.parametrize("make", [
+    lambda: TwoBridge((2.5, 3)),
+    lambda: Pretzel((True, 2, 3)),
+    lambda: ThreeBraid(((2.0, 1), (1, 2))),
+    lambda: ThreeBraid(((1, 2), (1, 2, 3))),
+    lambda: Weaving4(2.0),
+    lambda: twobridge_det([2.5]),
+    lambda: pretzel_det((2.5, 3, 7)),
+    lambda: threebraid_det([(2.5, 1)]),
+    lambda: threebraid_det([("2", "3")]),
+    lambda: weaving_det(3.0),
+    lambda: v_function([1.5]),
+    lambda: twobridge_vol_upper([1, 2.5]),
+], ids=["R-float", "P-bool", "B-float", "B-triple", "W-float", "twobridge_det",
+        "pretzel_det", "threebraid_det-float", "threebraid_det-str", "weaving_det",
+        "v_function", "twobridge_vol_upper"])
+def test_entry_rule_refuses(make):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert "\n" not in str(err.value)
