@@ -13,9 +13,8 @@ trees, and for an alternating link that number is the link determinant.
 
 Builders are provided for braid closures, 4-plat closures, and pretzel
 diagrams (the medial of a necklace: a cycle of parallel-edge bundles, which
-is the pretzel's checkerboard graph).  ``_walk`` pairs the darts it walks
-and ``_pair`` the rest (closure ends, medial corners) by label; builders pass
-that pairing to ``PDCode``, which pairs a user's code by label itself.  A
+is the pretzel's checkerboard graph).  A builder emits labelled crossings
+and ``PDCode`` pairs their darts by label, as it does a user's code.  A
 code is checked and traversed once when built; the traversal also numbers
 Tait vertices, counts face sizes and collects bigons.
 """
@@ -24,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .hypvol import FaceVector
 from .multigraph import Multigraph
@@ -57,32 +57,33 @@ class _Orbits(list):
 class PDCode:
     """A 4-valent plane map: ccw 4-tuples of arcs, paired, colored and traversed when built.
 
-    ``PDCode(crossings)`` takes 4 int labels per crossing and pairs all darts
-    by label, as a user's code needs.  A builder passes ``partner``, the
-    pairing that ``_walk`` and ``_pair`` made (-1 at an unpaired dart), with
-    crossings already 4-tuples of ints.  Both ways run the same checks: the
-    pairing pairs every one of the 4n darts with another dart that pairs back,
-    and the map is connected and a sphere.
+    ``PDCode(crossings)`` takes 4 int labels per crossing, from a builder or
+    a user alike, and pairs the two darts of each label.  It checks that
+    there is at least one crossing, that every label is seen exactly twice,
+    and that the map is connected and a sphere.
     """
 
     __slots__ = ("crossings", "_partner", "_flip", "_orbits")
 
-    def __init__(self, crossings, partner: list[int] | None = None):
-        if partner is None:
-            crossings = [tuple(t) for t in crossings]
+    def __init__(self, crossings):
+        crossings = list(map(tuple, crossings))
+        if set(map(len, crossings)) != {4}:
             for t in crossings:
                 if len(t) != 4:
                     raise ValueError(f"crossing {_quote(t)} does not have 4 slots")
-                if not all(type(a) is int for a in t):  # a bool is not a label either
-                    raise ValueError(f"crossing {_quote(t)} has a label that is not an int")
-            partner = [-1] * (4 * len(crossings))
-            _pair(crossings, partner, range(len(partner)))
-        if not crossings:
             raise ValueError("PD code needs at least one crossing")
-        if len(partner) != 4 * len(crossings):
-            raise ValueError(f"partner has {len(partner)} entries for {4 * len(crossings)} darts")
+        labels = list(chain.from_iterable(crossings))
+        if set(map(type, labels)) != {int}:  # a bool is not a label either
+            for t in crossings:
+                if not all(type(a) is int for a in t):
+                    raise ValueError(f"crossing {_quote(t)} has a label that is not an int")
+        partner = [-1] * len(labels)
+        first: dict[int, int] = {}  # label -> its first dart
+        for d, a in enumerate(labels):
+            e = first.setdefault(a, d)
+            if e != d and partner[e] < 0:  # a third dart of a label stays unpaired
+                partner[d], partner[e] = e, d
         if -1 in partner:  # some label is not seen exactly twice
-            labels = (a for t in crossings for a in t)
             bad = {a: k for a, k in Counter(labels).items() if k != 2}  # first-seen order
             raise ValueError(f"arcs must appear exactly twice; offenders: {_quote(bad)}")
         self.crossings = crossings
@@ -93,14 +94,11 @@ class PDCode:
     def _validate(self) -> None:
         partner = self.partner()
         n = len(self.crossings)
-        m = 4 * n
         # The face leaving dart d gets color (d + flip[d // 4]) % 2, so corner
         # colors alternate around every crossing.  The face leaving d also leaves
         # the dart after its partner p, which fixes flip[p // 4]; flip[0] = 1
         # makes the face of dart 1 white (0).  The search reaches every crossing
         # exactly when the map is connected; on a sphere map it never disagrees.
-        # Each dart the search reads is checked to be paired with another dart
-        # that pairs back, which covers every dart once the map is connected.
         flip = [-1] * n
         flip[0] = 1
         stack = [0]
@@ -108,9 +106,6 @@ class PDCode:
             ci = stack.pop()
             for d in range(4 * ci, 4 * ci + 4):
                 p = partner[d]
-                if not 0 <= p < m or p == d or partner[p] != d:
-                    raise ValueError(f"partner pairs dart {d} with {_quote(p)}, "
-                                     "not with another dart that pairs back")
                 cj = p // 4
                 if flip[cj] == -1:
                     flip[cj] = (flip[ci] + d - p - 1) % 2
@@ -175,15 +170,6 @@ def _root(parent: dict[int, int], x: int) -> int:
     while x in parent:
         x = parent[x]
     return x
-
-
-def _pair(crossings, partner, darts) -> None:
-    """Pair each of ``darts`` with the next of its label; a third stays unpaired (-1)."""
-    first: dict[int, int] = {}  # label -> its first dart
-    for d in darts:
-        e = first.setdefault(crossings[d // 4][d % 4], d)
-        if e != d and partner[e] < 0:
-            partner[d], partner[e] = e, d
 
 
 def _classes(n: int, groups) -> int:
@@ -266,14 +252,13 @@ def _walk(arc: list[int], word: list[int]):
     """Crossings of ``word`` on strands entering with labels ``arc``.
 
     Each crossing gives its two outgoing strands fresh labels; ``arc`` is
-    updated in place to the labels leaving the word.  Returns the crossings,
-    their dart pairing (-1 at an open dart) and the open darts: the in-darts
+    updated in place to the labels leaving the word.  Returns the crossings
+    and their loose darts, the only ones a closure relabels: the in-darts
     that take an entering label and the out-darts of the leaving labels.
     """
     nxt = max(arc) + 1
     out = [-1] * len(arc)  # the dart each label of ``arc`` leaves, -1 for an entering one
     crossings = []
-    partner = [-1] * (4 * len(word))
     loose = []
     d = 0  # crossing i has darts 4i .. 4i + 3
     for k in word:
@@ -281,24 +266,23 @@ def _walk(arc: list[int], word: list[int]):
             raise ValueError(f"position {k} out of range")
         a, b = arc[k - 1], arc[k]
         crossings.append((a, b, nxt + 1, nxt))  # ccw: in-left, in-right, out-right, out-left
-        for din, e in ((d, out[k - 1]), (d + 1, out[k])):
-            if e < 0:
-                loose.append(din)
-            else:
-                partner[din], partner[e] = e, din
+        if out[k - 1] < 0:
+            loose.append(d)
+        if out[k] < 0:
+            loose.append(d + 1)
         arc[k - 1], arc[k] = nxt, nxt + 1
         out[k - 1], out[k] = d + 3, d + 2
         nxt += 2
         d += 4
     loose += [e for e in out if e >= 0]
-    return crossings, partner, loose
+    return crossings, loose
 
 
-def _closed(crossings, partner, loose, joins) -> PDCode:
+def _closed(crossings, loose, joins) -> PDCode:
     """The PD code of walked ``crossings`` once each label pair in ``joins`` is one arc.
 
     Only the ``loose`` darts change: each takes its arc's representative
-    label and is paired with the arc's other loose dart.
+    label, so the arc's two loose darts share a label.
     """
     ident: dict[int, int] = {}
     for x, y in joins:
@@ -311,8 +295,7 @@ def _closed(crossings, partner, loose, joins) -> PDCode:
         r = _root(ident, t[s])
         if r != t[s]:
             crossings[ci] = t[:s] + (r,) + t[s + 1 :]
-    _pair(crossings, partner, loose)
-    return PDCode(crossings, partner)
+    return PDCode(crossings)
 
 
 def braid_closure_pd(strands: int, word: list[int]) -> PDCode:
@@ -325,17 +308,17 @@ def braid_closure_pd(strands: int, word: list[int]) -> PDCode:
     if strands < 2:
         raise ValueError("need at least 2 strands")
     arc = list(range(strands))
-    crossings, partner, loose = _walk(arc, word)  # range-checks every position
+    crossings, loose = _walk(arc, word)  # range-checks every position
     if len(set(word) | {k + 1 for k in word}) != strands:
         raise ValueError("every strand must participate in a crossing")
-    return _closed(crossings, partner, loose, zip(arc, range(strands)))
+    return _closed(crossings, loose, zip(arc, range(strands)))
 
 
 def plat_closure_pd(word: list[int], top_caps: list[tuple[int, int]]) -> PDCode:
     """Plat closure of a 4-strand word: bottom caps (1,2),(3,4), given top caps."""
     arc = [0, 0, 1, 1]
-    crossings, partner, loose = _walk(arc, word)
-    return _closed(crossings, partner, loose, [(arc[i - 1], arc[j - 1]) for (i, j) in top_caps])
+    crossings, loose = _walk(arc, word)
+    return _closed(crossings, loose, [(arc[i - 1], arc[j - 1]) for (i, j) in top_caps])
 
 
 def medial_pd(bundles: list[int]) -> PDCode:
@@ -364,9 +347,7 @@ def medial_pd(bundles: list[int]) -> PDCode:
         for j in range(a):
             crossings.append((far - j - 1, base + j, base + (j - 1) % k, far - j))
         base += k
-    partner = [-1] * (4 * len(crossings))
-    _pair(crossings, partner, range(len(partner)))
-    return PDCode(crossings, partner)
+    return PDCode(crossings)
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +381,7 @@ def parse_pd_json(text: str) -> PDCode:
     if not isinstance(data, list):
         raise ValueError("PD JSON must be an array of 4-tuples")
     for t in data:
-        if not (
-            isinstance(t, list)
-            and len(t) == 4
-            and all(type(a) is int for a in t)  # bool and float rejected
-        ):
+        if not isinstance(t, list):  # PDCode checks the slots and labels
             raise ValueError(f"PD crossing must be an array of 4 integers: {_quote(t)}")
-    return PDCode([tuple(t) for t in data])
+    return PDCode(data)
 

@@ -85,15 +85,22 @@ FamilySpec = TwoBridge | ThreeBraid | Pretzel | Weaving4
 
 def _check_entries(a):
     """The one rule for a family's integers: a nonempty list of ints >= 1, no bools."""
-    if not a:
-        raise ValueError("sequence must be nonempty")
-    for x in a:
-        if type(x) is not int or x < 1:
-            raise ValueError(f"entry {_quote(x)} is not an integer >= 1")
+    try:
+        if not a:
+            raise ValueError("sequence must be nonempty")
+        for x in a:
+            if type(x) is not int or x < 1:
+                raise ValueError(f"entry {_quote(x)} is not an integer >= 1")
+    except TypeError:  # ``a`` is not a sequence
+        raise ValueError(f"{_quote(a)} is not a sequence of entries") from None
 
 
 def _check_pairs(pairs):
-    if not set(map(len, pairs)) <= {2}:
+    try:
+        shapes = set(map(len, pairs))
+    except TypeError:  # ``pairs``, or one of them, is not a sequence
+        raise ValueError(f"{_quote(pairs)} is not a sequence of pairs") from None
+    if not shapes <= {2}:
         raise ValueError("every 3-braid pair must have exactly two entries")
     _check_entries([x for pair in pairs for x in pair])
 

@@ -562,9 +562,12 @@ class TestSpecSyntax:
     lambda: weaving_det(3.0),
     lambda: v_function([1.5]),
     lambda: twobridge_vol_upper([1, 2.5]),
+    lambda: ThreeBraid((1, 2)),
+    lambda: threebraid_det([(1, 2), 3]),
+    lambda: TwoBridge(5),
 ], ids=["R-float", "P-bool", "B-float", "B-triple", "W-float", "twobridge_det",
         "pretzel_det", "threebraid_det-float", "threebraid_det-str", "weaving_det",
-        "v_function", "twobridge_vol_upper"])
+        "v_function", "twobridge_vol_upper", "B-flat", "threebraid_det-flat", "R-int"])
 def test_entry_rule_refuses(make):
     with pytest.raises(ValueError) as err:
         make()
