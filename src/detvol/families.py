@@ -16,9 +16,11 @@
 All determinants are exact big integers.  ``closed_form`` gives, in one
 record, the face sizes, the twist-region count and the crossing number of the
 standard diagram, and whether the member is a known non-hyperbolic link, so
-the volume bounds need no diagram.  ``to_diagram`` builds that diagram; it is
-the oracle that every closed form, determinant and face data alike, is
-checked against, so it shares no code with them.
+the volume bounds need no diagram; for R and P it reads them off the Tait
+shape, a series-parallel network of one bundle or path per twist region.
+``to_diagram`` builds that diagram; it is the oracle that every closed form,
+determinant and face data alike, is checked against, so it shares no code
+with them.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class TwoBridge:
     a: tuple[int, ...]
 
     def __post_init__(self):
-        _check_entries(self.a)
+        object.__setattr__(self, "a", _check_entries(self.a))
 
     def __str__(self):
         return "R(" + ",".join(map(str, self.a)) + ")"
@@ -52,7 +54,7 @@ class ThreeBraid:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        _check_pairs(self.pairs)
+        object.__setattr__(self, "pairs", _check_pairs(self.pairs))
 
     def __str__(self):
         return "B(" + ",".join(f"{x},{y}" for x, y in self.pairs) + ")"
@@ -63,7 +65,7 @@ class Pretzel:
     a: tuple[int, ...]
 
     def __post_init__(self):
-        _check_entries(self.a)
+        object.__setattr__(self, "a", _check_entries(self.a))
 
     def __str__(self):
         return "P(" + ",".join(map(str, self.a)) + ")"
@@ -83,9 +85,11 @@ class Weaving4:
 FamilySpec = TwoBridge | ThreeBraid | Pretzel | Weaving4
 
 
-def _check_entries(a):
-    """The one rule for a family's integers: a nonempty list of ints >= 1, no bools."""
+def _check_entries(a) -> tuple[int, ...]:
+    """The one rule for a family's integers: a nonempty list of ints >= 1, no
+    bools.  Returns the entries as the tuple that was checked."""
     try:
+        a = tuple(a)
         if not a:
             raise ValueError("sequence must be nonempty")
         for x in a:
@@ -93,16 +97,18 @@ def _check_entries(a):
                 raise ValueError(f"entry {_quote(x)} is not an integer >= 1")
     except TypeError:  # ``a`` is not a sequence
         raise ValueError(f"{_quote(a)} is not a sequence of entries") from None
+    return a
 
 
-def _check_pairs(pairs):
+def _check_pairs(pairs) -> tuple[tuple[int, int], ...]:
     try:
-        shapes = set(map(len, pairs))
+        pairs = tuple(map(tuple, pairs))
     except TypeError:  # ``pairs``, or one of them, is not a sequence
         raise ValueError(f"{_quote(pairs)} is not a sequence of pairs") from None
-    if not shapes <= {2}:
+    if not set(map(len, pairs)) <= {2}:
         raise ValueError("every 3-braid pair must have exactly two entries")
     _check_entries([x for pair in pairs for x in pair])
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +117,7 @@ def _check_pairs(pairs):
 
 def twobridge_det(a) -> int:
     """T(n) from T(0)=1, T(1)=a1, T(k+1) = a_{k+1} T(k) + T(k-1)."""
-    a = tuple(a)
-    _check_entries(a)
+    a = _check_entries(a)
     t_prev, t = 1, a[0]
     for x in a[1:]:
         t_prev, t = t, x * t + t_prev
@@ -121,8 +126,7 @@ def twobridge_det(a) -> int:
 
 def v_function(a) -> Fraction:
     """The product prod (a_i + 2) / 2, as an exact rational."""
-    a = tuple(a)
-    _check_entries(a)
+    a = _check_entries(a)
     num = 1
     for x in a:
         num *= x + 2
@@ -137,8 +141,7 @@ def twobridge_vol_upper(a) -> Real:
     each of the 2n - 1 logs and 2n - 2 sums is within an ulp of that; 2*pi
     and its product add two ulp of the value.
     """
-    a = tuple(a)
-    _check_entries(a)
+    a = _check_entries(a)
     if len(a) < 2:
         raise ValueError("a single twist region is a torus link; no bound")
     logv = math.log(a[0] + 1) + math.log(a[-1] + 1) - math.log(4.0)
@@ -165,7 +168,7 @@ def threebraid_det(pairs) -> int:
                              + det B(a1+an, b1,...,a_{n-1},b_{n-1}),
     det B(a,b) = a*b, which the test suite checks on every spec of sum <= 12.
     """
-    _check_pairs(pairs)
+    pairs = _check_pairs(pairs)
     # [[1,x],[0,1]] [[1,0],[y,1]] = [[1+xy, x],[y, 1]], row-major
     level = [(1 + x * y, x, y, 1) for x, y in pairs]
     while len(level) > 1:
@@ -197,8 +200,7 @@ def _lucas_v(p: int, n: int) -> int:
 
 def pretzel_det(a) -> int:
     """sum_i prod_{j != i} a_j, exactly."""
-    a = tuple(a)
-    _check_entries(a)
+    a = _check_entries(a)
     n = len(a)
     prefix = [1] * (n + 1)
     for i, x in enumerate(a):
@@ -271,9 +273,16 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
     """Face sizes, twist regions and known non-hyperbolicity of
     ``to_diagram(spec)``, computed without building it.
 
-    Each face is counted by the columns of the template it lies in, and the
+    R and P come from their Tait shape, a series-parallel network in which a
+    twist region of x crossings is a bundle of x parallel edges or a path of
+    x series edges, holding x - 1 bigons.  Each family lists only the faces
+    between its regions, and a bigon among those joins the two regions it
+    touches, so the twist count is n less those bigons.  The joins close a
+    cycle only when they join every region, in the torus diagrams R(k),
+    R(1,1), R(1,1,1), P(a,b) and P(1,...,1), hence the floor of 1.  B and W
+    count each face by the columns of the template it lies in, and the
     template's blocks are its twist regions, except that a bigon face outside
-    every block joins the blocks it touches; the derivations are in the
+    every block joins the blocks it touches.  The derivations are in the
     comments.  The test suite compares every result with the diagram's own
     traversal.  The non-hyperbolic members are torus links, connected-sum
     torus cases and the trivial weaving closure; everything else is merely
@@ -282,35 +291,42 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
     """
     faces: Counter[int] = Counter()  # face size -> multiplicity
     reason = ""
-    if isinstance(spec, TwoBridge):
-        # Plat closure, bottom caps (1,2),(3,4): a_i is a block of crossings
-        # at s2 for odd i, at s1 for even i.  Column (2,3) is cut by the s2
-        # blocks and column (1,2) by the s1 blocks into bigons inside each
-        # block and a (2 + a_{i+1})-gon between blocks i and i+2.  Column
-        # (3,4) meets every s2 crossing, the outer face every s1 crossing.
+    if isinstance(spec, (TwoBridge, Pretzel)):
         a, n = spec.a, len(spec.a)
-        s1, s2 = sum(a[1::2]), sum(a[0::2])
-        faces[2] += s1 + s2 - n
-        faces.update(2 + x for x in a[1:-1])
-        if n == 1:  # column (1,2) meets the block; the outer face, 2 sides
-            faces.update((a[0], s2, 2))
-        elif n % 2:
-            # top caps (1,2),(3,4): column (2,3) opens into the outer face at
-            # both ends; column (1,2) ends in an (a_1 + 1)- and an (a_n + 1)-gon
-            # under the caps
-            faces.update((a[0] + 1, a[-1] + 1, s2, s1 + 2))
+        if isinstance(spec, Pretzel) and n > 1:
+            # n paths in parallel between two hubs: a face between each two
+            # cyclically consecutive paths, and the two hubs
+            between = [a[i - 1] + x for i, x in enumerate(a)] + [n, n]
         else:
-            # top caps (2,3),(1,4): column (1,2) starts in an (a_1 + 1)-gon;
-            # column (2,3) opens into the outer face at the bottom and ends
-            # in an (a_n + 1)-gon under its cap; the tops of columns (1,2) and
-            # (3,4) join
-            faces.update((a[0] + 1, a[-1] + 1, s2 + 1, s1 + 1))
-        # the (a_1 + 1)-gon joins blocks 1, 2 when a_1 = 1, the (a_n + 1)-gon
-        # blocks n-1, n when a_n = 1; column (3,4) is a bigon only for
-        # R(1,x,1), whose blocks those two joins already connect.  For n = 2
-        # both joins are the same one, and a single block is one region.
-        t = max(1, n - (a[0] == 1) - (a[-1] == 1))
-        if n == 1:
+            # a continued fraction (P(a) draws as R(a)), folded into a
+            # two-terminal network with boundary lengths left, right and
+            # terminal degrees ds, dt.  It starts as a path of a_1 edges; a_2,
+            # a_4, ... are bundles joined in parallel, each closing a face of
+            # right + 1 edges, and a_3, a_5, ... paths joined in series, each
+            # closing a vertex of degree dt + 1.  Odd n closes it by
+            # identifying the two terminals, even n leaves it open, its outer
+            # face running along both sides.
+            left = right = a[0]
+            ds = dt = 1
+            between, bundle = [], True
+            for x in a[1:]:
+                if bundle:
+                    between.append(right + 1)
+                    right, ds, dt = 1, ds + x, dt + x
+                else:
+                    between.append(dt + 1)
+                    left, right, dt = left + x, right + x, 1
+                bundle = not bundle
+            between += (left, right, ds + dt) if n % 2 else (left + right, ds, dt)
+        faces[2] += sum(a) - n  # inside the regions
+        faces.update(between)
+        t = max(1, n - between.count(2))
+        if isinstance(spec, Pretzel):
+            if n <= 2:
+                reason = "a pretzel on <= 2 strands is a (2,k) torus link"
+            elif set(a) == {1}:
+                reason = "all-ones pretzel is the (2,n) torus link"
+        elif n == 1:
             reason = "single twist region: a (2,k) torus link"
         elif a == (1, 1):
             reason = "R(1,1) is the Hopf link"
@@ -329,26 +345,6 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
         t = 2 * len(a) - (a == (1, 1)) - (b == (1, 1))
         if len(a) == 1 and 1 in spec.pairs[0]:
             reason = "closure is a (2,k) torus link"
-    elif isinstance(spec, Pretzel):
-        a, n = spec.a, len(spec.a)
-        if n <= 2 or all(x == 1 for x in a):
-            # a (2,k) torus diagram, k = sum(a), with R(k)'s record: k bigons,
-            # two k-gons, one region (for all ones every face between
-            # crossings is a bigon)
-            k, t = sum(a), 1
-            faces[2] += k
-            faces[k] += 2
-            reason = ("a pretzel on <= 2 strands is a (2,k) torus link" if n <= 2
-                      else "all-ones pretzel is the (2,n) torus link")
-        else:
-            # an (a_{i-1} + a_i)-gon between consecutive regions (cyclically),
-            # a bigon per extra crossing inside a region, and the two n-gons
-            # through the middle; cyclically adjacent single-crossing regions
-            # share a bigon and merge
-            faces.update(a[i - 1] + x for i, x in enumerate(a))
-            faces[2] += sum(a) - n
-            faces[n] += 2
-            t = n - sum(a[i - 1] == x == 1 for i, x in enumerate(a))
     elif isinstance(spec, Weaving4):
         # columns (1,2) and (3,4) are triangles, (2,3) squares; the inner and
         # outer faces meet the n s1 and the n s3 crossings, and are bigons,

@@ -1,5 +1,6 @@
 """Closed-form determinants, the V function, and the statement suites."""
 
+import hashlib
 import math
 import random
 import time
@@ -395,6 +396,25 @@ class TestDiagrams:
             assert sum(b for _, b in cf.faces) == c + 2, spec
             assert parse_spec(str(spec)) == spec
 
+    def test_closed_form_pinned_above_oracle_cap(self):
+        # every field of the record on seeded R and P specs of 1,000-9,000
+        # crossings, past every diagram comparison; the digest was recorded
+        # from an independent derivation, by the columns of the plat and
+        # pretzel templates
+        rng = random.Random(20261020)
+        h = hashlib.sha256()
+        for _ in range(30):
+            c, top = rng.randint(1000, 9000), rng.choice((2, 4, 50))
+            a, total = [], 0
+            while total < c:
+                a.append(rng.randint(1, top))
+                total += a[-1]
+            for family in (TwoBridge, Pretzel):
+                cf = closed_form(family(tuple(a)))
+                h.update(repr((dict(cf.faces), cf.twist_count, cf.crossing_count,
+                               cf.nonhyperbolic)).encode())
+        assert h.hexdigest()[:12] == "f6022c66a8fd"
+
     def test_closed_form_twist_merges(self):
         for text, t in [("R(1,1)", 1), ("R(1,2,1)", 1), ("R(1,1,1,1)", 2), ("W(2)", 4),
                         ("B(1,2,1,3)", 3), ("B(1,1,1,1)", 2), ("P(1,1,2)", 2),
@@ -415,7 +435,11 @@ class TestDiagrams:
             assert cp.crossing_count == cr.crossing_count == sum(p.a), p
             assert cp.nonhyperbolic and cr.nonhyperbolic, p
             assert fam.det(p) == fam.det(r) == sum(p.a), p
-        # one 2-bridge twist rule for every n: max(1, n - [a_1 = 1] - [a_n = 1])
+            if cp.crossing_count <= 40:  # the diagram too, with its own traversal
+                d = to_diagram(p)
+                assert cp.faces == d.faces and cp.twist_count == d.twist_count, p
+        # the one twist rule, max(1, n - bigons between regions), where its
+        # floor bites: one or two entries, and R(1,x,1)
         for a in ([(x,) for x in range(1, 16)]
                   + list(product(range(1, 16), repeat=2))
                   + [(1, x, 1) for x in range(1, 16)]):
@@ -538,6 +562,12 @@ class TestSpecSyntax:
             with pytest.raises(ValueError):
                 parse_spec(bad)
             assert time.perf_counter() - start < 0.5  # no backtracking over whitespace
+
+    def test_specs_store_checked_tuples(self):
+        r = TwoBridge(iter([2, 3]))
+        assert r == TwoBridge((2, 3)) and str(r) == "R(2,3)"
+        assert hash(Pretzel([2, 3, 7])) == hash(Pretzel((2, 3, 7)))
+        assert ThreeBraid([[1, 2]]).pairs == ((1, 2),)
 
     def test_validation(self):
         with pytest.raises(ValueError):
