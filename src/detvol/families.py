@@ -13,14 +13,17 @@
   n*((2+sqrt3)^n + (2-sqrt3)^n - 2)/2, evaluated exactly by Lucas-sequence
   doubling (never floating point).
 
-All determinants are exact big integers.  ``closed_form`` gives, in one
-record, the face sizes, the twist-region count and the crossing number of the
-standard diagram, and whether the member is a known non-hyperbolic link, so
-the volume bounds need no diagram; for R and P it reads them off the Tait
-shape, a series-parallel network of one bundle or path per twist region.
-``to_diagram`` builds that diagram; it is the oracle that every closed form,
-determinant and face data alike, is checked against, so it shares no code
-with them.
+All determinants are exact big integers, spanning-tree counts of a Tait
+graph.  A twist region is a bundle of parallel Tait edges or a path of series
+ones, and each family is a Tait shape of one bundle or path per region: R a
+series-parallel network folded from its continued fraction, P n paths between
+two hubs, B a wheel (spoke bundles a_i, rim paths b_i) and W the n-gonal
+bipyramid.  ``closed_form`` reads off that shape, in one record, the face
+sizes, the twist-region count and the crossing number of the standard
+diagram, and whether the member is a known non-hyperbolic link, so the volume
+bounds need no diagram.  ``to_diagram`` builds that diagram; it is the oracle
+that every closed form, determinant and face data alike, is checked against,
+so it shares no code with them.
 """
 
 from __future__ import annotations
@@ -199,9 +202,12 @@ def _lucas_v(p: int, n: int) -> int:
 
 
 def pretzel_det(a) -> int:
-    """sum_i prod_{j != i} a_j, exactly."""
+    """sum_i prod_{j != i} a_j, exactly; a single entry a_1 closes into the
+    (2, a_1) torus link, whose determinant is a_1."""
     a = _check_entries(a)
     n = len(a)
+    if n == 1:
+        return a[0]
     prefix = [1] * (n + 1)
     for i, x in enumerate(a):
         prefix[i + 1] = prefix[i] * x
@@ -245,10 +251,6 @@ def det(spec: FamilySpec) -> int:
     if isinstance(spec, ThreeBraid):
         return threebraid_det(spec.pairs)
     if isinstance(spec, Pretzel):
-        # a single twist region closes into a (2,k) torus link; the symmetric
-        # formula applies from two regions up
-        if len(spec.a) == 1:
-            return twobridge_det(spec.a)
         return pretzel_det(spec.a)
     if isinstance(spec, Weaving4):
         return weaving_det(spec.n)
@@ -273,18 +275,18 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
     """Face sizes, twist regions and known non-hyperbolicity of
     ``to_diagram(spec)``, computed without building it.
 
-    R and P come from their Tait shape, a series-parallel network in which a
-    twist region of x crossings is a bundle of x parallel edges or a path of
-    x series edges, holding x - 1 bigons.  Each family lists only the faces
-    between its regions, and a bigon among those joins the two regions it
-    touches, so the twist count is n less those bigons.  The joins close a
-    cycle only when they join every region, in the torus diagrams R(k),
-    R(1,1), R(1,1,1), P(a,b) and P(1,...,1), hence the floor of 1.  B and W
-    count each face by the columns of the template it lies in, and the
-    template's blocks are its twist regions, except that a bigon face outside
-    every block joins the blocks it touches.  The derivations are in the
-    comments.  The test suite compares every result with the diagram's own
-    traversal.  The non-hyperbolic members are torus links, connected-sum
+    Each branch reads its Tait shape (module docstring) for three things: the
+    crossing number c, the region count r, and the faces between regions.  A
+    region of x crossings holds x - 1 bigons, c - r in all, and faces that
+    can never be bigons go straight into the count.  A bigon between regions
+    joins the two it touches, so the twist count is r less those bigons.  B's
+    hub and outer face are between regions only from two pairs up: with one,
+    each meets a single region, and B(2,b)'s hub bigon lies inside a_1's.
+    The joins close a cycle only when they join every region, in the torus
+    diagrams R(k), R(1,1), R(1,1,1), P(a,b) and P(1,...,1), hence the floor
+    of 1; B and W have at most two faces between regions, and r >= 4 where
+    one is a bigon.  The test suite compares every result with the diagram's
+    own traversal.  The non-hyperbolic members are torus links, connected-sum
     torus cases and the trivial weaving closure; everything else is merely
     assumed hyperbolic (reduced alternating, not an evident torus link),
     never proven.
@@ -292,19 +294,20 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
     faces: Counter[int] = Counter()  # face size -> multiplicity
     reason = ""
     if isinstance(spec, (TwoBridge, Pretzel)):
-        a, n = spec.a, len(spec.a)
-        if isinstance(spec, Pretzel) and n > 1:
-            # n paths in parallel between two hubs: a face between each two
+        a, r = spec.a, len(spec.a)
+        c = sum(a)
+        if isinstance(spec, Pretzel) and r > 1:
+            # r paths in parallel between two hubs: a face between each two
             # cyclically consecutive paths, and the two hubs
-            between = [a[i - 1] + x for i, x in enumerate(a)] + [n, n]
+            between = [a[i - 1] + x for i, x in enumerate(a)] + [r, r]
         else:
             # a continued fraction (P(a) draws as R(a)), folded into a
             # two-terminal network with boundary lengths left, right and
             # terminal degrees ds, dt.  It starts as a path of a_1 edges; a_2,
             # a_4, ... are bundles joined in parallel, each closing a face of
             # right + 1 edges, and a_3, a_5, ... paths joined in series, each
-            # closing a vertex of degree dt + 1.  Odd n closes it by
-            # identifying the two terminals, even n leaves it open, its outer
+            # closing a vertex of degree dt + 1.  Odd r closes it by
+            # identifying the two terminals, even r leaves it open, its outer
             # face running along both sides.
             left = right = a[0]
             ds = dt = 1
@@ -317,49 +320,44 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
                     between.append(dt + 1)
                     left, right, dt = left + x, right + x, 1
                 bundle = not bundle
-            between += (left, right, ds + dt) if n % 2 else (left + right, ds, dt)
-        faces[2] += sum(a) - n  # inside the regions
-        faces.update(between)
-        t = max(1, n - between.count(2))
+            between += (left, right, ds + dt) if r % 2 else (left + right, ds, dt)
         if isinstance(spec, Pretzel):
-            if n <= 2:
+            if r <= 2:
                 reason = "a pretzel on <= 2 strands is a (2,k) torus link"
             elif set(a) == {1}:
                 reason = "all-ones pretzel is the (2,n) torus link"
-        elif n == 1:
+        elif r == 1:
             reason = "single twist region: a (2,k) torus link"
         elif a == (1, 1):
             reason = "R(1,1) is the Hopf link"
         elif a == (1, 1, 1):
             reason = "R(1,1,1) is the trefoil, a torus knot"
     elif isinstance(spec, ThreeBraid):
-        # Closure of prod s1^a_i s2^b_i: column (1,2) has bigons inside the s1
-        # blocks and a (2 + b_i)-gon after block i, column (2,3) likewise;
-        # the inner face meets every s1 crossing, the outer every s2 crossing.
+        # the (2 + x)-gons are the rim vertices and the faces between spokes
         a, b = zip(*spec.pairs)
-        faces[2] += sum(a) + sum(b) - 2 * len(a)
-        faces.update((sum(a), sum(b)))
+        sa, sb = sum(a), sum(b)
+        c, r = sa + sb, 2 * len(a)
         faces.update(2 + x for x in a + b)
-        # the inner face is a bigon joining the two s1 blocks when
-        # a_1 = a_2 = 1 (n = 2), the outer face likewise for the b blocks
-        t = 2 * len(a) - (a == (1, 1)) - (b == (1, 1))
-        if len(a) == 1 and 1 in spec.pairs[0]:
-            reason = "closure is a (2,k) torus link"
+        between = [sa, sb]  # the hub and the outer face
+        if len(a) == 1:  # each meets a single region
+            faces.update(between)
+            between = []
+            if 1 in spec.pairs[0]:
+                reason = "closure is a (2,k) torus link"
     elif isinstance(spec, Weaving4):
-        # columns (1,2) and (3,4) are triangles, (2,3) squares; the inner and
-        # outer faces meet the n s1 and the n s3 crossings, and are bigons,
-        # joining regions, for W(2) only
+        # 2n triangles, n square equator vertices, and the two apexes
         n = spec.n
+        c = r = 3 * n
         faces[3] += 2 * n
         faces[4] += n
-        faces[n] += 2
-        t = 4 if n == 2 else 3 * n
+        between = [n, n]
         if n == 1:
             reason = "closure of s1 s3 s2^-1 is the unknot"
     else:
         raise TypeError(f"not a family spec: {spec!r}")
-    fv = FaceVector(faces)
-    return ClosedForm(fv, t, reason, sum(n * b for n, b in fv) // 4)  # 4 corners a crossing
+    faces[2] += c - r  # inside the regions
+    faces.update(between)
+    return ClosedForm(FaceVector(faces), max(1, r - between.count(2)), reason, c)
 
 
 def to_diagram(spec: FamilySpec) -> dgm.Diagram:

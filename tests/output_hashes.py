@@ -12,9 +12,13 @@ the first 12 hex digits of the SHA-256 of one output:
   of R<=14, B<=12 and P<=12 at oracle cap 40 and of W<=240 at oracle cap 240;
 * the ``enumerate_pretzels(t)`` report for t = 5, 6 and 7, as
   ``json.dumps(asdict(report), sort_keys=True)`` with ``elapsed_seconds``
-  set to 0.0.
+  set to 0.0;
+* the ``reports_to_csv`` of ``check(spec, oracle_cap=0)`` over 40 seeded
+  specs above every oracle cap, 10 each of R and P (the same 200-2,000
+  entries of 1-9), B (200-2,000 pairs of 1-4) and W (index 334-3,000): the
+  closed forms, determinants and bounds where no diagram is compared.
 
-Takes about 3 s on 2 cores with Python 3.11.7; pytest does not collect it.
+Takes about 6 s on 2 cores with Python 3.11.7; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -22,12 +26,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from detvol.verify import enumerate_pretzels, reports_to_csv, reports_to_json, sweep  # noqa: E402
+from detvol.families import Pretzel, ThreeBraid, TwoBridge, Weaving4  # noqa: E402
+from detvol.verify import (  # noqa: E402
+    check, enumerate_pretzels, reports_to_csv, reports_to_json, sweep,
+)
 
 SWEEPS = [("R", 14, 40), ("B", 12, 40), ("P", 12, 40), ("W", 240, 240)]
 ENUMERATIONS = (5, 6, 7)
@@ -35,6 +43,17 @@ ENUMERATIONS = (5, 6, 7)
 
 def sha12(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def long_specs() -> list:
+    rng = random.Random(20261022)
+    specs = []
+    for _ in range(10):
+        a = tuple(rng.randint(1, 9) for _ in range(rng.randint(200, 2000)))
+        pairs = tuple((rng.randint(1, 4), rng.randint(1, 4))
+                      for _ in range(rng.randint(200, 2000)))
+        specs += [TwoBridge(a), Pretzel(a), ThreeBraid(pairs), Weaving4(rng.randint(334, 3000))]
+    return specs
 
 
 def main() -> None:
@@ -47,6 +66,8 @@ def main() -> None:
         report.elapsed_seconds = 0.0
         text = json.dumps(dataclasses.asdict(report), sort_keys=True)
         print(f"enumerate_pretzels({t})  {sha12(text)}")
+    reports = [check(spec, oracle_cap=0) for spec in long_specs()]
+    print(f"check 40 long R/B/P/W specs cap 0  csv {sha12(reports_to_csv(reports))}")
 
 
 if __name__ == "__main__":

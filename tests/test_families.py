@@ -308,8 +308,9 @@ class TestDiagrams:
         assert d.twist_count == 5
 
     def test_one_entry_pretzel_is_two_bridge(self):
-        # both are the (2,a) torus link
+        # both are the (2,a) torus link, whose determinant is a
         for a in range(1, 16):
+            assert pretzel_det((a,)) == fam.det(Pretzel((a,))) == a, a
             p, r = to_diagram(Pretzel((a,))), to_diagram(TwoBridge((a,)))
             assert p.faces == r.faces, a
             assert p.twist_count == r.twist_count, a
@@ -414,6 +415,22 @@ class TestDiagrams:
                 h.update(repr((dict(cf.faces), cf.twist_count, cf.crossing_count,
                                cf.nonhyperbolic)).encode())
         assert h.hexdigest()[:12] == "f6022c66a8fd"
+
+    def test_closed_form_pinned_b_and_w_above_oracle_cap(self):
+        # every field of the record on seeded B specs of 300-3,000 pairs and
+        # W specs of 1,002-9,000 crossings, past every diagram comparison; the
+        # digest was recorded from an independent derivation, by the columns
+        # of the braid closures
+        rng = random.Random(20261021)
+        h = hashlib.sha256()
+        for _ in range(30):
+            n, top = rng.randint(300, 3000), rng.choice((2, 4, 50))
+            pairs = tuple((rng.randint(1, top), rng.randint(1, top)) for _ in range(n))
+            for spec in (ThreeBraid(pairs), Weaving4(rng.randint(334, 3000))):
+                cf = closed_form(spec)
+                h.update(repr((dict(cf.faces), cf.twist_count, cf.crossing_count,
+                               cf.nonhyperbolic)).encode())
+        assert h.hexdigest()[:12] == "9837a7ea4515"
 
     def test_closed_form_twist_merges(self):
         for text, t in [("R(1,1)", 1), ("R(1,2,1)", 1), ("R(1,1,1,1)", 2), ("W(2)", 4),
