@@ -297,9 +297,7 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
         a, r = spec.a, len(spec.a)
         c = sum(a)
         if isinstance(spec, Pretzel) and r > 1:
-            # r paths in parallel between two hubs: a face between each two
-            # cyclically consecutive paths, and the two hubs
-            between = [a[i - 1] + x for i, x in enumerate(a)] + [r, r]
+            between = pretzel_between(a)
         else:
             # a continued fraction (P(a) draws as R(a)), folded into a
             # two-terminal network with boundary lengths left, right and
@@ -357,7 +355,26 @@ def closed_form(spec: FamilySpec) -> ClosedForm:
         raise TypeError(f"not a family spec: {spec!r}")
     faces[2] += c - r  # inside the regions
     faces.update(between)
-    return ClosedForm(FaceVector(faces), max(1, r - between.count(2)), reason, c)
+    return ClosedForm(FaceVector(faces), twist_count(r, between), reason, c)
+
+
+def pretzel_between(a: tuple[int, ...]) -> list[int]:
+    """The faces between the twist regions of P(a), for two or more entries.
+
+    Its Tait shape is len(a) paths in parallel between two hubs: a face of
+    a_{i-1} + a_i sides between each two cyclically consecutive paths, and
+    the two hubs, each a len(a)-gon.  Every other face is a bigon inside a
+    region.
+    """
+    n = len(a)
+    return [a[i - 1] + x for i, x in enumerate(a)] + [n, n]
+
+
+def twist_count(r: int, between: list[int]) -> int:
+    """Twist regions of a diagram drawn as r regions with faces ``between``
+    them: each bigon between two regions joins them, and the floor of 1 is
+    for the torus diagrams whose joins close a cycle (``closed_form``)."""
+    return max(1, r - between.count(2))
 
 
 def to_diagram(spec: FamilySpec) -> dgm.Diagram:

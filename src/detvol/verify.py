@@ -11,8 +11,11 @@ link is hyperbolic; it never proves the conjecture false.  Verdicts:
 The pretzel enumeration reproduces the finite computer check: for a fixed
 number of twist regions t the Montesinos bound 2*v8*t is constant while the
 determinant grows monotonically in every twist count, so only the finitely
-many tuples below the passing frontier need an explicit verdict.  Their
-arrangements cost under 1% of a run: each pattern's are generated once.
+many tuples below the passing frontier need an explicit verdict.  Within a
+multiset c, det and the two n-gons are fixed, so one closed-form record per
+multiset serves all its arrangements: each is decided from its n adjacent
+sums, and only the few that no integer certificate settles get a record and
+a ``bound_report`` of their own.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .families import (
 )
 from .hypvol import (
     TWO_PI,
-    FaceVector,
     adams_bound_exact,
     adams_bound_log,
     lackenby_bound,
@@ -197,22 +199,27 @@ def stoimenow_certificate(t: int, c: int, rule: str = "general") -> bool:
     return c > high_twist_threshold(t, rule)
 
 
-def adams_log_certificate(d: int, faces: FaceVector) -> bool:
-    """True when ``adams_bound_log(faces)`` is below 2*pi*log(d), decided in integers.
+def adams_log_certificate(d: int, faces: list[int]) -> bool:
+    """True when Adams' log bound on face sizes ``faces`` is below 2*pi*log(d),
+    decided in integers.
 
-    The bound is 2*pi*sum b'_n log(n/2), with b'_n the faces of size n but
-    the two largest, so it is below 2*pi*log(d) exactly when
-    d * 2^m > prod n^(b'_n) with m = sum b'_n, both over n >= 3 (a bigon
-    adds log 1 = 0, so neither a factor nor a power of 2).  The best bound
-    is at most ``adams_log``, so a True settles ``holds`` with no rounding.
+    ``faces`` lists one size per face.  The bound, ``adams_bound_log`` of
+    their ``FaceVector``, is 2*pi*sum log(n/2) over the faces but the two
+    largest, so it is below 2*pi*log(d) exactly when d * 2^m > prod n over
+    the m remaining faces with n >= 3 (a bigon adds log 1 = 0, so neither a
+    factor nor a power of 2).  So bigons may be left out of ``faces`` when
+    two larger faces remain, as the pretzel enumeration leaves out those
+    inside its twist regions.  The best bound is at most ``adams_log``, so a
+    True settles ``holds`` with no rounding.
     """
-    r, s = faces.two_largest()
+    sizes = sorted(faces)
+    if len(sizes) < 2 or sizes[0] < 2:
+        raise ValueError("need two faces and no monogon, as in a reduced diagram")
     m, prod = 0, 1
-    for n, b in faces:
+    for n in sizes[:-2]:  # the two largest are removed
         if n > 2:
-            b -= (n == r) + (n == s)
-            m += b
-            prod *= n**b
+            m += 1
+            prod *= n
     return d << m > prod
 
 
@@ -260,7 +267,7 @@ def _bracelet_shapes(pattern: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     since an increasing map keeps lexicographic order and commutes with
     rotation and reflection.  The enumeration walks multisets of the same
     pattern close together, so a few entries serve almost every multiset and
-    the generator runs only on misses: 66 at t <= 6, 381 (4 s) at t = 10 alone.
+    the generator runs only on misses: 65 at t <= 6, 380 at t = 10 alone.
     """
     return tuple(canonical_arrangements([i for i, m in enumerate(pattern) for _ in range(m)]))
 
@@ -289,10 +296,11 @@ class EnumerationReport:
         )
 
 
-# largest t_max enumerate_pretzels accepts.  Each t costs about 8 times the
-# one before: on two cores --t-max 8 took 6.0 s (22 MB peak RSS) and
-# --t-min 9 --t-max 9 49-50 s (24 MB), so t = 10 alone runs about seven
-# minutes and t = 12 most of a day.  The report keeps every frontier corner:
+# largest t_max enumerate_pretzels accepts.  Each t has about ten times the
+# arrangements of the one before, at about 5 us each: on two cores --t-max 8
+# took 5.0-5.7 s (22 MB peak RSS), --t-min 9 --t-max 9 32 s (25 MB) and
+# --t-min 10 --t-max 10 378 s (45 MB), so t = 12 would take about ten hours.
+# The report keeps every violation and every frontier corner:
 # 12, 24, 59, 135, 324, 797, 2,003 and 5,175 at t = 3..10, 8,529 in all.
 MAX_ENUMERATION_T = 10
 
@@ -321,13 +329,20 @@ def enumerate_pretzels(
     arrangements are generated once as value indices (``_bracelet_shapes``,
     which keeps the 16 most recent patterns) and mapped through the
     multiset's sorted values.  The first arrangement is the sorted multiset
-    itself: it alone goes through ``oracle_check`` when it is under the
-    oracle cap, and it is the only arrangement of the one vacuous multiset,
-    all ones.  An arrangement that the Stoimenow certificate for Montesinos
-    links settles is counted as twist-count certified.  Of the others, one
-    that ``adams_log_certificate`` settles in integers is counted as checked
-    and holds; only the rest get their verdict and margin from
-    ``bound_report``, as ``check`` would give them.
+    itself, and it alone gets a ``closed_form`` record up front: it goes
+    through ``oracle_check`` when it is under the oracle cap, and it is the
+    only arrangement of the one vacuous multiset, all ones.  The record's c
+    and the multiset's determinant hold for every arrangement, and so do the
+    two hubs, n-gons; only the n faces between cyclically consecutive
+    regions, of a_{i-1} + a_i sides, vary (``families.pretzel_between``).
+    Each arrangement's twist count is n less the bigons among them
+    (``families.twist_count``, the rule ``closed_form`` applies), and an
+    arrangement that count settles by the Stoimenow certificate for
+    Montesinos links is counted as twist-count certified.  Of the others,
+    one that ``adams_log_certificate`` settles in integers from those faces
+    (the bigons inside the regions add nothing to it) is counted as checked
+    and holds; only the rest get a ``closed_form`` record and their verdict
+    and margin from ``bound_report``, as ``check`` would give them.
     """
     if t_max < 3:
         raise ValueError("t_max must be >= 3 (smaller pretzels are 2-bridge)")
@@ -355,26 +370,32 @@ def enumerate_pretzels(
                 if level >= 0:
                     a[level:] = [a[level] + 1] * (n - level)
                 continue
-            # below the frontier: check every arrangement, the first being tup
-            vals = sorted(set(tup))
-            pattern = tuple(map(tup.count, vals))
-            for shape in _bracelet_shapes(pattern):
-                arr = tuple(map(vals.__getitem__, shape))
-                spec = Pretzel(arr)
-                cf = fam.closed_form(spec)
-                if cf.nonhyperbolic:  # all ones, the only arrangement
-                    report.vacuous += 1
-                    break
-                if arr == tup and cf.crossing_count <= oracle_cap:
+            # below the frontier: one record for the multiset, which is its
+            # own first arrangement, then each arrangement from its faces
+            # between regions, c and d being the multiset's
+            spec = Pretzel(tup)
+            cf = fam.closed_form(spec)
+            c = cf.crossing_count
+            if cf.nonhyperbolic:  # all ones, the only arrangement
+                report.vacuous += 1
+                shapes = ()
+            else:
+                if c <= oracle_cap:
                     oracle_check(spec, d, cf)
                     report.oracle_checked += 1
-                if stoimenow_certificate(cf.twist_count, cf.crossing_count, "montesinos"):
+                vals = sorted(set(tup))
+                shapes = _bracelet_shapes(tuple(map(tup.count, vals)))
+            for shape in shapes:
+                arr = tuple(map(vals.__getitem__, shape))
+                between = fam.pretzel_between(arr)
+                if stoimenow_certificate(fam.twist_count(n, between), c, "montesinos"):
                     report.certified_stoimenow += 1
                     continue
                 report.checked += 1
-                if adams_log_certificate(d, cf.faces):
+                if adams_log_certificate(d, between):
                     continue
-                r = bound_report(spec, d, cf)
+                spec = Pretzel(arr)
+                r = bound_report(spec, d, fam.closed_form(spec))
                 if r.verdict != "holds":
                     report.violations.append((arr, r.margin))
             level = n - 1

@@ -10,6 +10,7 @@ import math
 import os
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -204,6 +205,11 @@ class TestStoimenowCertificate:
             stoimenow_certificate(3, 2)
 
 
+def _sizes(faces):
+    """One size per face of a FaceVector, as ``adams_log_certificate`` takes them."""
+    return [n for n, b in faces for _ in range(b)]
+
+
 class TestAdamsLogCertificate:
     # four of the t = 8 arrangements that no bound settles; each has bigons,
     # and a certificate that counted bigons in m would pass them all
@@ -214,7 +220,7 @@ class TestAdamsLogCertificate:
     def _agrees_with_float(d, faces):
         # outside the error budget of adams_log and of 2 pi log d, the float
         # comparison and the integer one must give the same answer
-        b = adams_bound_log(faces)
+        b = adams_bound_log(FaceVector(Counter(faces)))
         two_pi_log_det = TWO_PI * math.log(d)
         margin = two_pi_log_det - b.value
         if abs(margin) <= b.abs_err + 4 * math.ulp(two_pi_log_det):
@@ -223,16 +229,21 @@ class TestAdamsLogCertificate:
 
     def test_exact_at_equality(self):
         # faces 4,4,4: the bound is 2 pi log 2, so det 2 ties it and 3 beats it
-        faces = FaceVector({4: 3})
+        faces = [4, 4, 4]
         assert not verify.adams_log_certificate(2, faces)
         assert verify.adams_log_certificate(3, faces)
-        # bigons add nothing: with ten of them det 2 still only ties
-        faces = FaceVector({2: 10, 4: 3})
+        # bigons add nothing: with ten of them, in any order, det 2 still only ties
+        faces = [4, 2, 2, 4, 2, 2, 2, 2, 2, 2, 4, 2]
         assert not verify.adams_log_certificate(2, faces)
         assert verify.adams_log_certificate(3, faces)
         # the two largest faces are bigons: the bound is 0, and any det > 1 beats it
-        assert verify.adams_log_certificate(2, FaceVector({2: 6}))
-        assert not verify.adams_log_certificate(1, FaceVector({2: 6}))
+        assert verify.adams_log_certificate(2, [2] * 6)
+        assert not verify.adams_log_certificate(1, [2] * 6)
+
+    def test_rejects_monogon_and_too_few_faces(self):
+        for faces in ([1, 3, 3], [4], []):
+            with pytest.raises(ValueError):
+                verify.adams_log_certificate(5, faces)
 
     def test_agrees_with_float_bound_on_sweeps(self):
         specs = (sweep_specs("R", 12) + sweep_specs("B", 10) + sweep_specs("P", 10)
@@ -243,7 +254,7 @@ class TestAdamsLogCertificate:
             if cf.nonhyperbolic:
                 continue
             seen += 1
-            assert self._agrees_with_float(families.det(spec), cf.faces), spec
+            assert self._agrees_with_float(families.det(spec), _sizes(cf.faces)), spec
         assert seen > 5000
 
     def test_agrees_with_float_bound_on_enumeration(self, monkeypatch):
@@ -259,13 +270,15 @@ class TestAdamsLogCertificate:
         monkeypatch.undo()
         assert len(asked) == report.checked
         for d, faces in asked:
+            # the faces between regions: the float bound has the same value
+            # without the bigons inside them, and a smaller error budget
             assert self._agrees_with_float(d, faces), (d, faces)
 
     def test_does_not_certify_inconclusive(self):
         specs = [Weaving4(n) for n in range(4, 81)] + [Pretzel(a) for a in self.INCONCLUSIVE]
         for spec in specs:
             cf = families.closed_form(spec)
-            assert not verify.adams_log_certificate(families.det(spec), cf.faces), spec
+            assert not verify.adams_log_certificate(families.det(spec), _sizes(cf.faces)), spec
         for a in self.INCONCLUSIVE:
             assert check(Pretzel(a), oracle_cap=0).verdict == "bound_inconclusive", a
 
@@ -334,10 +347,11 @@ def test_canonical_arrangements_degenerate():
 
 def test_bracelet_shapes_cache_misses():
     # the 1,976 multisets of enumerate_pretzels(6) have 57 multiplicity
-    # patterns; with 16 entries the cache generates arrangements 66 times
+    # patterns; with 16 entries the cache generates arrangements 65 times
+    # (the all-ones multisets are vacuous and ask for none)
     verify._bracelet_shapes.cache_clear()
     enumerate_pretzels(6)
-    assert verify._bracelet_shapes.cache_info().misses == 66
+    assert verify._bracelet_shapes.cache_info().misses == 65
 
 
 def test_bracelet_shapes_map_to_arrangements():
@@ -386,19 +400,31 @@ class TestEnumerate:
             enumerate_pretzels(3)
 
     def test_closed_form_once_per_arrangement(self, monkeypatch):
-        # one record per arrangement, plus one per vacuous multiset: the
-        # sorted multiset is its own first arrangement and carries the oracle
+        # one record per multiset below the frontier (its sorted arrangement
+        # carries the oracle and the vacuous test), plus one per arrangement
+        # that reaches bound_report; the rest are settled from their sums
         real_closed_form = families.closed_form
-        calls = []
+        real_bound_report = verify.bound_report
+        calls, reported = [], []
 
         def spy(spec):
             calls.append(spec)
             return real_closed_form(spec)
 
+        def bound_report_spy(spec, d, cf):
+            reported.append(spec)
+            return real_bound_report(spec, d, cf)
+
         monkeypatch.setattr(families, "closed_form", spy)
+        monkeypatch.setattr(verify, "bound_report", bound_report_spy)
+        visited = sum(len(pretzel_walk_by_recursion(n)[1]) for n in range(3, 6))
+        enumerate_pretzels(5)
+        assert len(calls) == visited + len(reported) == 569 + 0
+        calls.clear()
+        monkeypatch.setattr(verify, "adams_log_certificate", lambda d, faces: False)
         report = enumerate_pretzels(5)
-        arrangements = report.checked + report.certified_stoimenow
-        assert len(calls) == arrangements + report.vacuous == 1382
+        assert len(reported) == report.checked == 1234
+        assert len(calls) == visited + len(reported) == 569 + 1234
 
     def test_margins_match_check(self, monkeypatch):
         real_bound_report = verify.bound_report
@@ -425,8 +451,9 @@ class TestEnumerate:
         expanded, dets = [], {}
 
         def closed_form_spy(spec):
-            # a multiset's first arrangement, and only that one, is sorted
-            if list(spec.a) == sorted(spec.a):
+            # a multiset's record, and only that, is of a sorted arrangement;
+            # a second record of it, for its bound_report, comes right after
+            if list(spec.a) == sorted(spec.a) and expanded[-1:] != [spec.a]:
                 expanded.append(spec.a)
             return real_closed_form(spec)
 
@@ -450,6 +477,25 @@ class TestEnumerate:
         want = dict(visited)
         assert dets.keys() <= want.keys() and len(dets) > 1000
         assert all(ds == {want[m]} for m, ds in dets.items())
+
+    def test_arrangement_decisions_match_closed_form(self):
+        # the walk settles an arrangement from its faces between regions and
+        # its multiset's c and det; the twist count and the Adams-log decision
+        # must be those of its full record, for every arrangement at t <= 6
+        seen = 0
+        for n in range(3, 7):
+            for multiset, d in pretzel_walk_by_recursion(n)[1]:
+                if set(multiset) == {1}:  # vacuous, its arrangements unvisited
+                    continue
+                for arr in canonical_arrangements(multiset):
+                    between = families.pretzel_between(arr)
+                    cf = families.closed_form(Pretzel(arr))
+                    assert cf.crossing_count == sum(multiset), arr
+                    assert families.twist_count(n, between) == cf.twist_count, arr
+                    assert (verify.adams_log_certificate(d, between)
+                            == verify.adams_log_certificate(d, _sizes(cf.faces))), arr
+                    seen += 1
+        assert seen == 10201
 
     def test_one_determinant_per_step(self, monkeypatch):
         # one per frontier corner and one per multiset below the frontier
